@@ -13,6 +13,7 @@ import json
 import logging
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -261,8 +262,7 @@ def _write_metrics_csv(path, reports):
 def cmd_ranks(args) -> int:
     cfg = build_config(args)
     dataset = io.load_dataset(args.data_dir)
-    rank_cfg = RankSelectionConfig(k_max=cfg.k_max, tau=cfg.tau, nu0=cfg.nu0,
-                                   sigma0_sq=cfg.sigma0_sq)
+    rank_cfg = RankSelectionConfig(k_max=cfg.k_max, tau=cfg.tau)
     rr = select_dims_report(
         dataset, rank_cfg, weighting=cfg.projection_weighting, threads=cfg.threads
     )
@@ -452,29 +452,27 @@ def _json_flag(text):
         return text
 
 
-_BOOL_FIELDS = {"heteroscedastic", "collinear", "center_columns"}
-_JSON_FIELDS = {"n_per_study", "q_s", "k_s", "noise_var_range", "tau_gamma_sq"}
-_INT_FIELDS = {"n_studies", "p", "k0", "k_max", "n_mc", "seed", "threads",
-               "replicates", "submatrix"}
-_FLOAT_FIELDS = {"loading_sparsity", "loading_sd", "confounder_sd", "tau", "nu0",
-                 "sigma0_sq", "tau_lambda_sq", "inflation_fixed", "level"}
+# flag parser per RunConfig annotation (None stripped); bool flags take
+# --x / --no-x instead
+_FLAG_TYPES = {int: int, float: float, str: str, list: _json_flag, object: _json_flag}
+
+
+def _flag_kind(annotation):
+    """The non-None type of an annotation such as `int | None`."""
+    kinds = [t for t in typing.get_args(annotation) if t is not type(None)]
+    return kinds[0] if kinds else annotation
 
 
 def _add_config_flags(parser):
     for f in dataclasses.fields(RunConfig):
         flag = "--" + _FLAG_ALIASES.get(f.name, f.name).replace("_", "-")
+        kind = _flag_kind(f.type)
         if f.name == "preset":
             parser.add_argument(flag, choices=sorted(PRESETS), default=None, dest=f.name)
-        elif f.name in _BOOL_FIELDS:
+        elif kind is bool:
             parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None, dest=f.name)
-        elif f.name in _JSON_FIELDS:
-            parser.add_argument(flag, type=_json_flag, default=None, dest=f.name)
-        elif f.name in _INT_FIELDS:
-            parser.add_argument(flag, type=int, default=None, dest=f.name)
-        elif f.name in _FLOAT_FIELDS:
-            parser.add_argument(flag, type=float, default=None, dest=f.name)
         else:
-            parser.add_argument(flag, default=None, dest=f.name)
+            parser.add_argument(flag, type=_FLAG_TYPES[kind], default=None, dest=f.name)
     parser.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     UndefinedMetricError,
 )
-from .numerics import RngStream, derive_stream, procrustes_rotation
+from .numerics import RngStream, derive_stream, parallel_map, procrustes_rotation
 from .posterior import CovarianceModel
 from .spectral import MultiStudyDataset
 
@@ -75,11 +75,6 @@ class SimTruth:
     sigma0_sq: np.ndarray      # (p,) or (S, p) when heteroscedastic
     m0_s: tuple
     f0_s: tuple
-
-    def sigma_for_study(self, s):
-        if self.sigma0_sq.ndim == 2:
-            return self.sigma0_sq[s]
-        return self.sigma0_sq
 
 
 def _sparse_normal(rng, shape, sparsity, sd):
@@ -275,8 +270,11 @@ def _pair_coverage(draw_rows, truth_rows, level):
 def _woodbury_pieces(w, diag):
     if np.any(diag <= 0.0):
         raise InvalidCovarianceError("diagonal of the covariance must be positive")
-    dinv = 1.0 / diag
-    core = np.eye(w.shape[1]) + (w * dinv[:, None]).T @ w
+    with np.errstate(over="ignore"):
+        dinv = 1.0 / diag
+        core = np.eye(w.shape[1]) + (w * dinv[:, None]).T @ w
+    if not (np.all(np.isfinite(dinv)) and np.all(np.isfinite(core))):
+        raise InvalidCovarianceError("covariance diagonal is too small to invert")
     return dinv, core
 
 
@@ -329,8 +327,11 @@ def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
                 "observed block has a singular diagonal and is too large to densify"
             )
         sigma_oo = w_o @ w_o.T + np.diag(d_o)
-        siy = np.linalg.solve(sigma_oo, y)
-        a = w_o.T @ np.linalg.solve(sigma_oo, w_o)
+        try:
+            siy = np.linalg.solve(sigma_oo, y)
+            a = w_o.T @ np.linalg.solve(sigma_oo, w_o)
+        except np.linalg.LinAlgError:
+            raise InvalidCovarianceError("observed-block covariance is singular") from None
     mean = w_t @ (w_o.T @ siy)
     cross_var = np.sum((w_t @ a) * w_t, axis=1)
     var = np.sum(w_t**2, axis=1) + cov.diag_add[target_idx] - cross_var
@@ -420,8 +421,8 @@ def prediction_nmse(cov: CovarianceModel, y_test, observed_idx=None):
 
 @dataclass
 class MetricsReport:
-    """Per-fit evaluation metrics; coverage and prediction fields are
-    optional depending on what the run produced."""
+    """Per-fit evaluation metrics; the coverage fields are set only when the
+    run produced enough draws."""
 
     rel_error_shared: float
     rel_error_specific: list
@@ -429,8 +430,6 @@ class MetricsReport:
     procrustes_specific: list
     coverage_shared: float | None = None
     coverage_specific: list | None = None
-    loglik: float | None = None
-    nmse: list | None = None
 
     def to_dict(self):
         out = {
@@ -442,10 +441,6 @@ class MetricsReport:
         if self.coverage_shared is not None:
             out["coverage_shared"] = self.coverage_shared
             out["coverage_specific"] = list(self.coverage_specific)
-        if self.loglik is not None:
-            out["loglik"] = self.loglik
-        if self.nmse is not None:
-            out["nmse"] = list(self.nmse)
         return out
 
 
@@ -505,7 +500,6 @@ def run_replicates(scenario: SimScenario, config, replicates, seed=None,
     (single-threaded fits inside) and the result list is identical to a
     sequential run.
     """
-    from concurrent.futures import ThreadPoolExecutor
     from dataclasses import replace as dc_replace
 
     from .posterior import run_blast
@@ -526,10 +520,7 @@ def run_replicates(scenario: SimScenario, config, replicates, seed=None,
             coverage_stream=derive_stream(base_seed + r, ("coverage",)),
         )
 
-    if threads <= 1 or replicates <= 1:
-        return [one(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(replicates)))
+    return parallel_map(one, replicates, threads)
 
 
 def summarize_replicates(reports):

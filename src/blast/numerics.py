@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernels and reproducible random-number streams.
+"""Dense linear-algebra kernels, reproducible random-number streams and an
+order-preserving thread fan-out.
 
 All functions are pure; nothing here mutates its inputs, so every operation
 is safe to call from multiple threads.
@@ -7,6 +8,7 @@ is safe to call from multiple threads.
 import functools
 import hashlib
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +38,6 @@ class SvdFactors:
     left: np.ndarray
     singvals: np.ndarray
     right: np.ndarray
-
-    @property
-    def rank(self):
-        return self.singvals.shape[0]
 
     def reconstruct(self):
         return (self.left * self.singvals) @ self.right.T
@@ -196,6 +194,18 @@ def procrustes_rotation(a, b) -> np.ndarray:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     u, _, v = _svd_lapack(a.T @ b, a.shape[1])
     return u @ v.T
+
+
+def parallel_map(fn, n, threads):
+    """[fn(0), ..., fn(n - 1)], on up to `threads` worker threads.
+
+    Results come back in index order whatever the schedule, and an exception
+    raised by `fn` reaches the caller unchanged.
+    """
+    if threads <= 1 or n <= 1:
+        return [fn(i) for i in range(n)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n)))
 
 
 def _hash_key128(base_seed, path):

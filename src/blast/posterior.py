@@ -12,7 +12,6 @@ substreams, so output never depends on the parallel schedule.
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,8 +24,8 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .numerics import RngStream, derive_stream
-from .ranks import RankSelectionConfig, select_dims_report
+from .numerics import RngStream, derive_stream, parallel_map
+from .ranks import RankSelectionConfig, require_dims, select_dims_report
 from .spectral import FactorEstimates, LatentDims, MultiStudyDataset, estimate_factors
 
 logger = logging.getLogger(__name__)
@@ -73,11 +72,8 @@ class PosteriorSpec:
     rho_gamma: tuple             # per study, 1.0 where q_s = 0
     mu_gamma_s: tuple            # per study p x q_s
     k_gamma_s: tuple             # per study 1 / (n_s + tau_gamma^{-2}), 0.0 if q_s = 0
-    psi_s: tuple                 # per study trace of (M_s^T F_s)(F_s^T M_s); 0 exactly
-    psi_s_zero_note: bool        # cross-product vanished, so no extra diagonal term
     n: int
     n_s: tuple
-    k0: int
     q_s: tuple
     gamma_inflation_source: str = "rho_gamma"
     # cached cross-products for the draw-time specific-loading means
@@ -195,7 +191,7 @@ def nig_update(m_hat, y, tau_sq, nu0=1.0, sigma0_sq=1.0):
     return mu, k_scalar, gamma_n, delta_sq
 
 
-def fit_lambda_posterior(fe: FactorEstimates, dims: LatentDims, hp: Hyperparams):
+def fit_lambda_posterior(fe: FactorEstimates, hp: Hyperparams):
     """Closed-form posterior for the shared loadings and residual variances.
 
     Returns (mu_lambda, k_scalar, gamma_n, delta_sq, v_j); mu_lambda is also
@@ -272,52 +268,24 @@ def _pair_summary_sampled(num_den_pairs_fn, diag_b, p, stream):
 def inflation_lambda(mu_lambda, v_j, strategy="mean", fixed=None, stream=None) -> float:
     """Variance-inflation factor for the shared loadings.
 
-    Per-pair factors compare the sampling variability of the loading products
-    against the naive posterior scale; `strategy` summarizes them by their
-    mean (default), their max, or returns a user-fixed value.
+    This is the specific-loading factor of a study with no shared part
+    beneath it, so it delegates to `inflation_gamma`.
     """
-    mu_lambda = np.asarray(mu_lambda, dtype=np.float64)
-    v_j = np.asarray(v_j, dtype=np.float64)
-    p = v_j.shape[0]
-    if p < 2:
-        raise ParameterError(f"inflation needs p >= 2 outcomes, got {p}")
-    if strategy == "fixed":
-        if fixed is None or fixed < 1.0:
-            raise ParameterError("fixed inflation requires a value >= 1")
-        return float(fixed)
-    if strategy not in ("mean", "max"):
-        raise ParameterError(f"unknown inflation strategy {strategy!r}")
-    if np.any(v_j <= 0.0):
-        raise DegenerateVarianceError("some residual variance V_j is zero")
-    nrm = np.sum(mu_lambda**2, axis=1)
-    # V_j estimates the residual variance sigma_j^2 and substitutes it
-    # directly in the oracle factors.
-    diag_b = np.sqrt(1.0 + nrm / (2.0 * v_j))
     if stream is None:
         stream = derive_stream(0, ("inflation", "lambda"))
-
-    if p * p * max(mu_lambda.shape[1], 1) <= _EXACT_PAIR_FLOPS:
-        def block(i0, i1):
-            g = mu_lambda[i0:i1] @ mu_lambda.T
-            num = nrm[i0:i1, None] * nrm[None, :] + g**2
-            den = v_j[i0:i1, None] * nrm[None, :] + nrm[i0:i1, None] * v_j[None, :]
-            return num, den
-
-        mean, best = _pair_summary(block, diag_b, p)
-    else:
-        def pairs(i, j):
-            g = np.sum(mu_lambda[i] * mu_lambda[j], axis=1)
-            num = nrm[i] * nrm[j] + g**2
-            den = v_j[i] * nrm[j] + nrm[i] * v_j[j]
-            return num, den
-
-        mean, best = _pair_summary_sampled(pairs, diag_b, p, stream)
-    return mean if strategy == "mean" else best
+    p = np.shape(v_j)[0]
+    return inflation_gamma(mu_lambda, np.zeros((p, 0)), v_j, strategy=strategy,
+                           fixed=fixed, stream=stream)
 
 
 def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None,
                     stream=None) -> float:
-    """Variance-inflation factor for one study's specific loadings."""
+    """Variance-inflation factor for one study's specific loadings.
+
+    Per-pair factors compare the sampling variability of the loading products
+    against the naive posterior scale; `strategy` summarizes them by their
+    mean (default), their max, or returns a user-fixed value.
+    """
     mu_gamma_s = np.asarray(mu_gamma_s, dtype=np.float64)
     mu_lambda = np.asarray(mu_lambda, dtype=np.float64)
     v_j = np.asarray(v_j, dtype=np.float64)
@@ -334,6 +302,8 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None,
         raise DegenerateVarianceError("some residual variance V_j is zero")
     ng = np.sum(mu_gamma_s**2, axis=1)
     nl = np.sum(mu_lambda**2, axis=1)
+    # V_j estimates the residual variance sigma_j^2 and substitutes it
+    # directly in the oracle factors.
     diag_b = np.sqrt(1.0 + (ng + 2.0 * nl) / (2.0 * v_j))
     if stream is None:
         stream = derive_stream(0, ("inflation", "gamma"))
@@ -374,7 +344,7 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
     """Assemble all posterior parameters (steps 3-6 of the full procedure)."""
     if gamma_inflation_source not in ("rho_gamma", "rho_lambda"):
         raise ParameterError(f"unknown gamma_inflation_source {gamma_inflation_source!r}")
-    mu_l, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, dims, hp)
+    mu_l, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, hp)
     if inflation_stream is None:
         inflation_stream = derive_stream(0, ("inflation",))
     rho_lambda = inflation_lambda(
@@ -382,13 +352,11 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
         stream=inflation_stream.child("lambda"),
     )
 
-    mu_gamma_list, rho_gamma, k_gamma_s, psi_list = [], [], [], []
+    mu_gamma_list, rho_gamma, k_gamma_s = [], [], []
     f_t_y, f_t_m = [], []
     for s, y_s in enumerate(dataset.studies):
         f_hat = fe.f_hat_s[s]
         m_hat_s = fe.m_hat_s[s]
-        cross = m_hat_s.T @ f_hat
-        psi_list.append(float(np.sum(cross**2)))
         if dims.q_s[s] == 0:
             mu_gamma_list.append(np.zeros((dataset.p, 0)))
             rho_gamma.append(1.0)
@@ -419,11 +387,8 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
         rho_gamma=tuple(rho_gamma),
         mu_gamma_s=tuple(mu_gamma_list),
         k_gamma_s=tuple(k_gamma_s),
-        psi_s=tuple(psi_list),
-        psi_s_zero_note=all(t < 1e-16 * fe.n_total for t in psi_list),
         n=fe.n_total,
         n_s=dataset.n_s,
-        k0=dims.k0,
         q_s=dims.q_s,
         gamma_inflation_source=gamma_inflation_source,
         f_t_y_s=tuple(f_t_y),
@@ -431,8 +396,7 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
     )
 
 
-def sample_draw(spec: PosteriorSpec, fe: FactorEstimates, hp: Hyperparams,
-                stream: RngStream) -> PosteriorDraw:
+def sample_draw(spec: PosteriorSpec, stream: RngStream) -> PosteriorDraw:
     """One joint posterior draw on the given stream.
 
     Outcome j consumes variates from stream.child(j) in a fixed order:
@@ -559,7 +523,8 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
     """Full pipeline: rank selection, factor estimation, posterior, draws.
 
     Raises on any failure; partial results are never returned.  Fixing the
-    seed makes the draws byte-identical for any thread count.
+    seed makes the output byte-identical for any `threads` value at a fixed
+    BLAS thread count; a different BLAS thread count can change the rounding.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -571,20 +536,12 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
         dims = config.dims
         dims.validate_for(dataset)
     else:
-        rank_cfg = RankSelectionConfig(
-            k_max=config.k_max, tau=config.tau, nu0=config.nu0,
-            sigma0_sq=config.sigma0_sq,
-        )
+        rank_cfg = RankSelectionConfig(k_max=config.k_max, tau=config.tau)
         rank_report = select_dims_report(
             dataset, rank_cfg, weighting=config.projection_weighting,
             threads=config.threads,
         )
-        if rank_report.dims is None:
-            raise DegenerateSignalError(
-                f"no shared structure: top averaged-projector singular value "
-                f"{rank_report.spectrum[0]:.4f} <= 1 - tau = {1.0 - config.tau:.4f}"
-            )
-        dims = rank_report.dims
+        dims = require_dims(rank_report, config.tau)
         jic_traces = rank_report.traces
     timings["rank_selection_s"] = time.perf_counter() - t0
 
@@ -619,7 +576,7 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
     timings["posterior_fit_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    draws = _sample_all(spec, fe, hp, config)
+    draws = _sample_all(spec, config)
     timings["sampling_s"] = time.perf_counter() - t0
 
     report = {
@@ -643,18 +600,7 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
                        draws=tuple(draws), report=report)
 
 
-def _sample_all(spec, fe, hp, config):
-    if config.n_mc == 0:
-        return []
+def _sample_all(spec, config):
     root = derive_stream(config.seed, ("draw",))
-
-    def one(t):
-        return sample_draw(spec, fe, hp, root.child(t))
-
-    if config.threads <= 1:
-        return [one(t) for t in range(config.n_mc)]
-    draws = [None] * config.n_mc
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        for t, d in zip(range(config.n_mc), pool.map(one, range(config.n_mc))):
-            draws[t] = d
-    return draws
+    return parallel_map(lambda t: sample_draw(spec, root.child(t)), config.n_mc,
+                        config.threads)

@@ -8,13 +8,12 @@ all candidate ranks.
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, DimensionError
-from .numerics import _check_matrix, truncated_svd
+from .errors import DegenerateSignalError, DegenerateVarianceError, DimensionError
+from .numerics import _check_matrix, parallel_map, truncated_svd
 from .spectral import LatentDims, MultiStudyDataset, shared_basis
 
 logger = logging.getLogger(__name__)
@@ -29,14 +28,11 @@ class RankSelectionConfig:
     """Settings for rank selection.
 
     k_max caps the per-study search (None resolves to min(30, min_s
-    min(n_s, p) - 1)); tau is the spectral-gap threshold; nu0/sigma0_sq are
-    the prior settings carried alongside the surrogate fit.
+    min(n_s, p) - 1)); tau is the spectral-gap threshold.
     """
 
     k_max: int | None = None
     tau: float = DEFAULT_TAU
-    nu0: float = 1.0
-    sigma0_sq: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -194,12 +190,16 @@ def select_dims(dataset: MultiStudyDataset, cfg: RankSelectionConfig, weighting=
                 threads=1) -> LatentDims:
     """Full selection: per-study ranks, then the shared rank, then q_s."""
     report = select_dims_report(dataset, cfg, weighting=weighting, threads=threads)
-    if report.dims is None:
-        from .errors import DegenerateSignalError
+    return require_dims(report, cfg.tau)
 
+
+def require_dims(report: RankReport, tau) -> LatentDims:
+    """The selected dims; DegenerateSignalError when no shared structure was
+    found (k0 = 0)."""
+    if report.dims is None:
         raise DegenerateSignalError(
             f"no shared structure: top averaged-projector singular value "
-            f"{report.spectrum[0]:.4f} <= 1 - tau = {1.0 - cfg.tau:.4f}"
+            f"{report.spectrum[0]:.4f} <= 1 - tau = {1.0 - tau:.4f}"
         )
     return report.dims
 
@@ -208,8 +208,7 @@ def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
                        weighting="uniform", threads=1) -> RankReport:
     """Like select_dims but returns the full trace, including the k0 = 0 case."""
     k_max = cfg.resolve_k_max(dataset)
-    eff_cfg = RankSelectionConfig(k_max=k_max, tau=cfg.tau, nu0=cfg.nu0,
-                                  sigma0_sq=cfg.sigma0_sq)
+    eff_cfg = RankSelectionConfig(k_max=k_max, tau=cfg.tau)
 
     def one_study(s):
         k_hat, trace = select_study_rank(dataset.studies[s], eff_cfg)
@@ -217,12 +216,7 @@ def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
         fac = truncated_svd(dataset.studies[s], k_hat)
         return k_hat, trace, fac.right
 
-    if threads > 1 and dataset.n_studies > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_study, range(dataset.n_studies)))
-    else:
-        results = [one_study(s) for s in range(dataset.n_studies)]
-
+    results = parallel_map(one_study, dataset.n_studies, threads)
     k_hat_s = [r[0] for r in results]
     traces = [r[1] for r in results]
     bases = [r[2] for r in results]

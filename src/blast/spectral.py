@@ -9,13 +9,12 @@ the study-specific factors regressed out.  Projectors are always represented
 by their orthonormal bases; no p x p matrix is ever materialized.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, DegenerateSignalError, DimensionError
-from .numerics import _check_matrix, truncated_svd
+from .numerics import _check_matrix, parallel_map, truncated_svd
 
 _RANK_TOL = 1e-12
 
@@ -113,15 +112,15 @@ class LatentDims:
 class FactorEstimates:
     """Estimator outputs: factors, shared-signal matrix, and its SVD pieces.
 
-    m_hat = sqrt(n) u_c, so m_hat^T m_hat = n I_k0 exactly; f_hat_s =
-    sqrt(n_s) u_perp_s likewise.  m_hat_s^T f_hat_s = 0 by construction.
+    m_hat = sqrt(n) times the leading left singular vectors of y_c, so
+    m_hat^T m_hat = n I_k0 exactly; f_hat_s = sqrt(n_s) u_perp_s likewise.
+    m_hat_s^T f_hat_s = 0 by construction.
     """
 
     m_hat: np.ndarray                # n x k0, stacked shared factors
     m_hat_s: tuple                   # per-study n_s x k0 blocks of m_hat
     f_hat_s: tuple                   # per-study n_s x q_s specific factors
     y_c: np.ndarray                  # n x p shared-signal matrix
-    u_c: np.ndarray                  # n x k0
     d_c: np.ndarray                  # k0 nonincreasing singular values
     v_c: np.ndarray                  # p x k0
     u_perp_s: tuple                  # per-study n_s x q_s
@@ -131,14 +130,6 @@ class FactorEstimates:
     @property
     def n_total(self):
         return sum(self.n_s)
-
-    @property
-    def k0(self):
-        return self.m_hat.shape[1]
-
-    @property
-    def p(self):
-        return self.y_c.shape[1]
 
 
 def study_right_basis(y_s, k_s) -> np.ndarray:
@@ -217,8 +208,8 @@ def shared_factors(dataset: MultiStudyDataset, u_perp_s, k0):
     """Shared factors from the stacked studies with specific factors removed.
 
     Each study block is Y_s minus its projection onto u_perp_s; the stack is
-    decomposed once and m_hat = sqrt(n) u_c.  Returns
-    (m_hat, m_hat_s, y_c, u_c, d_c, v_c).
+    decomposed once and m_hat = sqrt(n) u_c, with u_c its leading-k0 left
+    singular vectors.  Returns (m_hat, m_hat_s, y_c, d_c, v_c).
     """
     blocks = []
     for y_s, u_perp in zip(dataset.studies, u_perp_s):
@@ -233,7 +224,7 @@ def shared_factors(dataset: MultiStudyDataset, u_perp_s, k0):
         raise DegenerateSignalError(f"shared-signal matrix has numerical rank < k0={k0}")
     m_hat = np.sqrt(n) * fac.left
     m_hat_s = _split_rows(m_hat, dataset.n_s)
-    return m_hat, m_hat_s, y_c, fac.left, fac.singvals, fac.right
+    return m_hat, m_hat_s, y_c, fac.singvals, fac.right
 
 
 def _split_rows(stacked, n_s):
@@ -260,36 +251,28 @@ def estimate_factors(
     if weighting == "by_n":
         weights = np.asarray(dataset.n_s, dtype=np.float64) / dataset.n_total
 
-    bases = _study_map(
+    bases = parallel_map(
         lambda s: study_right_basis(dataset.studies[s], dims.k_s[s]),
         dataset.n_studies,
         threads,
     )
     v_bar, spectrum = shared_basis(bases, dims.k0, weights=weights)
-    specific = _study_map(
+    specific = parallel_map(
         lambda s: specific_factors(dataset.studies[s], v_bar, dims.q_s[s]),
         dataset.n_studies,
         threads,
     )
     f_hat_s = tuple(f for f, _ in specific)
     u_perp_s = tuple(u for _, u in specific)
-    m_hat, m_hat_s, y_c, u_c, d_c, v_c = shared_factors(dataset, u_perp_s, dims.k0)
+    m_hat, m_hat_s, y_c, d_c, v_c = shared_factors(dataset, u_perp_s, dims.k0)
     return FactorEstimates(
         m_hat=m_hat,
         m_hat_s=m_hat_s,
         f_hat_s=f_hat_s,
         y_c=y_c,
-        u_c=u_c,
         d_c=d_c,
         v_c=v_c,
         u_perp_s=u_perp_s,
         p_tilde_spectrum=spectrum,
         n_s=dataset.n_s,
     )
-
-
-def _study_map(fn, n_studies, threads):
-    if threads <= 1 or n_studies <= 1:
-        return [fn(s) for s in range(n_studies)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_studies)))

@@ -199,7 +199,7 @@ def test_criterion_4_oracle_equivalence():
         from blast.posterior import estimate_hyperparams
 
         hp = estimate_hyperparams(dataset, fe, dims)
-        mu, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, dims, hp)
+        mu, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, hp)
         # brute-force normal-equations / conjugate-update oracle
         prec = fe.m_hat.T @ fe.m_hat + np.eye(2) / hp.tau_lambda_sq
         mu_o = np.linalg.solve(prec, fe.m_hat.T @ fe.y_c).T

@@ -193,6 +193,43 @@ class TestPredict:
                        "--split-file", split, "--out", fit_dir) == 3
 
 
+# one sample command line per RunConfig field, and the value it must parse to
+FLAG_SAMPLES = {
+    "preset": (["--preset", "desk"], "desk"),
+    "n_studies": (["--n-studies", "4"], 4),
+    "n_per_study": (["--n-per-study", "[100, 200]"], [100, 200]),
+    "p": (["--p", "50"], 50),
+    "k0": (["--k0", "3"], 3),
+    "k_s": (["--k-s", "[4, 5]"], [4, 5]),
+    "q_s": (["--q-s", "[1,2]"], [1, 2]),
+    "loading_sparsity": (["--loading-sparsity", "0.25"], 0.25),
+    "loading_sd": (["--loading-sd", "2"], 2.0),
+    "noise_var_range": (["--noise-var-range", "[1, 3]"], [1, 3]),
+    "heteroscedastic": (["--heteroscedastic"], True),
+    "collinear": (["--no-collinear"], False),
+    "confounder_sd": (["--confounder-sd", "0.5"], 0.5),
+    "replicates": (["--replicates", "7"], 7),
+    "k_max": (["--kmax", "12"], 12),
+    "tau": (["--tau", "0.3"], 0.3),
+    "nu0": (["--nu0", "2"], 2.0),
+    "sigma0_sq": (["--sigma0-sq", "1.5"], 1.5),
+    "tau_lambda_sq": (["--tau-lambda-sq", "0.7"], 0.7),
+    "tau_gamma_sq": (["--tau-gamma-sq", "[0.3, null]"], [0.3, None]),
+    "n_mc": (["--nmc", "5"], 5),
+    "seed": (["--seed", "9"], 9),
+    "threads": (["--threads", "2"], 2),
+    "inflation_strategy": (["--inflation-strategy", "max"], "max"),
+    "inflation_fixed": (["--inflation-fixed", "1.2"], 1.2),
+    "gamma_inflation_source": (["--gamma-inflation-source", "rho_lambda"], "rho_lambda"),
+    "projection_weighting": (["--projection-weighting", "by_n"], "by_n"),
+    "center_columns": (["--center-columns"], True),
+    "draw_format": (["--draw-format", "csv"], "csv"),
+    "level": (["--level", "0.9"], 0.9),
+    "submatrix": (["--submatrix", "50"], 50),
+    "out": (["--out", "results"], "results"),
+}
+
+
 class TestConfigHandling:
     def test_round_trip(self, tmp_path):
         cfg = RunConfig(seed=11, n_mc=40, tau=0.25, k0=4, k_s=[6, 6, 6],
@@ -223,6 +260,20 @@ class TestConfigHandling:
         cfg = RunConfig()
         for f in dataclasses.fields(RunConfig):
             assert hasattr(cfg, f.name)
+
+    def test_every_field_has_a_sample(self):
+        assert set(FLAG_SAMPLES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_flag_parses_to_annotated_type(self, field):
+        argv, expected = FLAG_SAMPLES[field.name]
+        parsed = getattr(build_parser().parse_args(["fit", "ignored", *argv]), field.name)
+        assert parsed == expected
+        assert type(parsed) is type(expected)
+        scalar = [t for t in (bool, int, float, str)
+                  if field.type is t or field.type == t | None]
+        if scalar:
+            assert type(parsed) is scalar[0]
 
 
 class TestExitCodes:

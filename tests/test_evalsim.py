@@ -280,6 +280,20 @@ class TestConditionalPredict:
         with pytest.raises(InvalidCovarianceError):
             conditional_predict(bad, [1], [0.0])
 
+    def test_singular_dense_block_raises(self):
+        # zero diagonal on the observed block and one shared factor: the
+        # densified block is the rank-1 all-ones matrix
+        model = CovarianceModel(lambda_hat=np.ones((6, 1)), gamma_hat=np.zeros((6, 0)),
+                                diag_add=np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(InvalidCovarianceError):
+            conditional_predict(model, [0, 1, 2], [0.5, 0.5, 0.5])
+
+    def test_denormal_diagonal_raises(self):
+        model = CovarianceModel(lambda_hat=np.ones((4, 1)), gamma_hat=np.zeros((4, 0)),
+                                diag_add=np.full(4, 1e-310))
+        with pytest.raises(InvalidCovarianceError):
+            conditional_predict(model, [0, 1, 2], [0.5, 0.5, 0.5])
+
 
 class TestGaussianLoglik:
     def test_scalar_standard_normal(self):
@@ -312,6 +326,13 @@ class TestGaussianLoglik:
         model = diag_model(np.array([1.0, 0.0]))
         with pytest.raises(InvalidCovarianceError):
             gaussian_loglik(model, np.zeros((1, 2)))
+
+    def test_denormal_diagonal_raises(self):
+        # 1 / 1e-310 overflows; the result must not be a silent nan
+        model = CovarianceModel(lambda_hat=np.ones((4, 1)), gamma_hat=np.zeros((4, 0)),
+                                diag_add=np.full(4, 1e-310))
+        with pytest.raises(InvalidCovarianceError):
+            gaussian_loglik(model, np.ones((2, 4)))
 
 
 class TestPredictiveIntervals:

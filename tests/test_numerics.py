@@ -10,7 +10,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from blast import numerics
 from blast.errors import DataError, DimensionError, NumericalError
-from blast.numerics import derive_stream, procrustes_rotation, truncated_svd
+from blast.numerics import derive_stream, parallel_map, procrustes_rotation, truncated_svd
 
 from conftest import random_orthonormal
 
@@ -269,6 +269,31 @@ class TestProcrustes:
         g = np.random.default_rng(seed)
         rot = procrustes_rotation(g.standard_normal((m, r)), g.standard_normal((m, r)))
         assert np.allclose(rot.T @ rot, np.eye(r), atol=1e-8)
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_same_ordered_list_for_any_thread_count(self, n):
+        def fn(i):
+            return i, i * i
+
+        expected = [(i, i * i) for i in range(n)]
+        assert parallel_map(fn, n, 1) == expected
+        assert parallel_map(fn, n, 2) == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_exception_reaches_caller(self, threads):
+        class Boom(Exception):
+            pass
+
+        def fn(i):
+            if i == 2:
+                raise Boom(i)
+            return i
+
+        with pytest.raises(Boom) as info:
+            parallel_map(fn, 4, threads)
+        assert info.value.args == (2,)
 
 
 class TestRngStreams:

@@ -75,7 +75,7 @@ class TestHyperparams:
         fe = estimate_factors(ds, dims)
         n = fe.n_total
         theta = float(np.sum(fe.d_c**2) / n)
-        _, _, _, _, v_j = fit_lambda_posterior(fe, dims, estimate_hyperparams(ds, fe, dims))
+        _, _, _, _, v_j = fit_lambda_posterior(fe, estimate_hyperparams(ds, fe, dims))
         omega = float(np.sum(v_j))
         lam_sq = float(np.sum(truth.lambda0**2))
         sig_sq = float(np.sum(truth.sigma0_sq))
@@ -93,8 +93,8 @@ class TestHyperparams:
         for t2, t1 in zip(hp2.tau_gamma_sq, hp.tau_gamma_sq):
             np.testing.assert_allclose(t2, t1, rtol=1e-8)
         # residual variances scale with the square of the data scale
-        _, _, _, _, v1 = fit_lambda_posterior(fe, dims, hp)
-        _, _, _, _, v2 = fit_lambda_posterior(fe2, dims, hp2)
+        _, _, _, _, v1 = fit_lambda_posterior(fe, hp)
+        _, _, _, _, v2 = fit_lambda_posterior(fe2, hp2)
         np.testing.assert_allclose(v2, 9.0 * v1, rtol=1e-8)
 
     def test_q_zero_leaves_tau_unset(self):
@@ -133,7 +133,7 @@ class TestLambdaPosterior:
     def test_matches_brute_force_oracle(self):
         for seed in range(5):
             ds, dims, fe, hp = small_fit(seed=seed, n_per_study=(20, 20), p=8, k0=3, q_s=1)
-            mu, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, dims, hp)
+            mu, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, hp)
             mu_o, cov_o, gamma_o, delta_o = brute_force_nig(
                 fe.m_hat, fe.y_c, hp.tau_lambda_sq, hp.nu0, hp.sigma0_sq
             )
@@ -144,7 +144,7 @@ class TestLambdaPosterior:
 
     def test_ridge_identity(self):
         ds, dims, fe, hp = small_fit(seed=31, p=12)
-        mu, _, _, _, _ = fit_lambda_posterior(fe, dims, hp)
+        mu, _, _, _, _ = fit_lambda_posterior(fe, hp)
         # normal-equations oracle for the penalized least-squares problem
         k = dims.k0
         sol = np.linalg.solve(
@@ -155,7 +155,7 @@ class TestLambdaPosterior:
     def test_delta_positive_always(self):
         for seed in range(10):
             ds, dims, fe, hp = small_fit(seed=seed)
-            _, _, _, delta_sq, _ = fit_lambda_posterior(fe, dims, hp)
+            _, _, _, delta_sq, _ = fit_lambda_posterior(fe, hp)
             assert np.all(delta_sq > 0)
 
     def test_outer_product_invariant_to_rotation(self, rng):
@@ -276,7 +276,7 @@ class TestInflation:
 class TestMuGamma:
     def test_fully_explained_outcome(self, rng):
         ds, dims, fe, hp = small_fit(seed=2)
-        mu_l, _, _, _, _ = fit_lambda_posterior(fe, dims, hp)
+        mu_l, _, _, _, _ = fit_lambda_posterior(fe, hp)
         y_fake = fe.m_hat_s[0] @ mu_l.T
         mg = mu_gamma(y_fake, fe.m_hat_s[0], fe.f_hat_s[0], mu_l, 1.0)
         assert np.max(np.abs(mg)) < 1e-10
@@ -293,7 +293,7 @@ class TestMuGamma:
     def test_matches_ridge_oracle(self):
         for seed in range(5):
             ds, dims, fe, hp = small_fit(seed=seed)
-            mu_l, _, _, _, _ = fit_lambda_posterior(fe, dims, hp)
+            mu_l, _, _, _, _ = fit_lambda_posterior(fe, hp)
             s = 0
             mg = mu_gamma(ds.studies[s], fe.m_hat_s[s], fe.f_hat_s[s], mu_l,
                           hp.tau_gamma_sq[s])
@@ -319,11 +319,8 @@ def synthetic_spec(p=3, k0=2, n=50.0, rho_lambda=1.0, delta=1.0, mu_scale=1.0,
         rho_gamma=tuple(rho_gamma),
         mu_gamma_s=tuple(np.zeros((p, q)) for q in q_s),
         k_gamma_s=tuple(1.0 / (n + 1.0) for _ in q_s),
-        psi_s=tuple(0.0 for _ in q_s),
-        psi_s_zero_note=True,
         n=int(n),
         n_s=tuple(int(n) for _ in q_s) or (int(n),),
-        k0=k0,
         q_s=tuple(q_s),
         f_t_y_s=tuple(np.zeros((q, p)) for q in q_s),
         f_t_m_s=tuple(np.zeros((q, k0)) for q in q_s),
@@ -333,19 +330,17 @@ def synthetic_spec(p=3, k0=2, n=50.0, rho_lambda=1.0, delta=1.0, mu_scale=1.0,
 class TestSampleDraw:
     def test_vanishing_variance_limit(self):
         spec = synthetic_spec(n=1e8, mu_scale=2.0)
-        hp = Hyperparams(tau_lambda_sq=1.0, tau_gamma_sq=())
-        draw = sample_draw(spec, None, hp, derive_stream(0, ("draw", 0)))
+        draw = sample_draw(spec, derive_stream(0, ("draw", 0)))
         assert np.max(np.abs(draw.lambda_tilde - spec.mu_lambda)) < 1e-3
 
     def test_lambda_moments_and_covariance(self):
         spec = synthetic_spec(p=3, k0=2, n=50.0, rho_lambda=1.3, delta=2.0, seed=4)
-        hp = Hyperparams(tau_lambda_sq=1.0, tau_gamma_sq=())
         root = derive_stream(77, ("draw",))
         t_draws = 10_000
         lams = np.empty((t_draws, 3, 2))
         sigs = np.empty((t_draws, 3))
         for t in range(t_draws):
-            d = sample_draw(spec, None, hp, root.child(t))
+            d = sample_draw(spec, root.child(t))
             lams[t] = d.lambda_tilde
             sigs[t] = d.sigma_tilde_sq
         gamma_n = spec.gamma_n
@@ -364,10 +359,9 @@ class TestSampleDraw:
 
     def test_uncorrected_posterior_at_rho_one(self):
         spec = synthetic_spec(p=2, k0=2, n=40.0, rho_lambda=1.0, delta=1.5, seed=9)
-        hp = Hyperparams(tau_lambda_sq=1.0, tau_gamma_sq=())
         root = derive_stream(5, ("draw",))
         lams = np.stack([
-            sample_draw(spec, None, hp, root.child(t)).lambda_tilde for t in range(10_000)
+            sample_draw(spec, root.child(t)).lambda_tilde for t in range(10_000)
         ])
         sigma_bar = spec.gamma_n * 1.5 / (spec.gamma_n - 2.0)
         target = sigma_bar * spec.k_scalar
@@ -376,13 +370,12 @@ class TestSampleDraw:
             assert np.all(np.abs(np.diag(cov) / target - 1.0) < 0.10)
 
     def test_interval_width_scales_with_rho(self):
-        hp = Hyperparams(tau_lambda_sq=1.0, tau_gamma_sq=())
         widths = []
         for rho in (1.0, 2.0):
             spec = synthetic_spec(p=2, k0=1, n=30.0, rho_lambda=rho, seed=3)
             root = derive_stream(11, ("draw",))
             lams = np.stack([
-                sample_draw(spec, None, hp, root.child(t)).lambda_tilde for t in range(400)
+                sample_draw(spec, root.child(t)).lambda_tilde for t in range(400)
             ])
             dev = lams[:, 0, 0] - spec.mu_lambda[0, 0]
             widths.append(np.quantile(dev, 0.975) - np.quantile(dev, 0.025))
@@ -396,8 +389,7 @@ class TestSampleDraw:
         spec = replace(spec, f_t_m_s=f_t_m, k_gamma_s=(1.0 / 100.0,),
                        f_t_y_s=(np.zeros((q, p)),),
                        delta_sq=np.full(p, 1e-12))  # keep the draw noise negligible
-        hp = Hyperparams(tau_lambda_sq=1.0, tau_gamma_sq=(1.0,))
-        d = sample_draw(spec, None, hp, derive_stream(2, ("draw", 0)))
+        d = sample_draw(spec, derive_stream(2, ("draw", 0)))
         expected = -(5.0 * d.lambda_tilde[:, 0]) / 100.0
         np.testing.assert_allclose(d.gamma_tilde_s[0][:, 0], expected, atol=1e-5)
 
@@ -464,7 +456,9 @@ class TestRunBlast:
         assert result.spec.rho_lambda >= 1.0
         assert all(r >= 1.0 for r in result.spec.rho_gamma)
         assert np.all(result.spec.delta_sq > 0)
-        assert result.spec.psi_s_zero_note
+        # the factor cross-product vanishes, so no extra diagonal term
+        for m_hat_s, f_hat_s in zip(fe.m_hat_s, fe.f_hat_s):
+            assert np.max(np.abs(m_hat_s.T @ f_hat_s), initial=0.0) <= 1e-8 * n
         assert "jic" in result.report
         assert len(result.draws) == 60
 

@@ -130,7 +130,7 @@ class TestSharedFactors:
     def test_single_study_reduction(self, rng):
         y = rng.standard_normal((12, 6))
         ds = MultiStudyDataset((y,))
-        m_hat, m_hat_s, y_c, u_c, d_c, v_c = shared_factors(ds, (np.zeros((12, 0)),), 2)
+        m_hat, m_hat_s, y_c, d_c, v_c = shared_factors(ds, (np.zeros((12, 0)),), 2)
         np.testing.assert_allclose(y_c, y)
         u, s, vt = np.linalg.svd(y)
         span_est = m_hat @ m_hat.T
@@ -142,7 +142,7 @@ class TestSharedFactors:
         y1 = u_perp @ rng.standard_normal((2, 5))  # fully inside the specific span
         y2 = rng.standard_normal((8, 5))
         ds = MultiStudyDataset((y1, y2))
-        _, _, y_c, _, _, _ = shared_factors(ds, (u_perp, np.zeros((8, 0))), 1)
+        _, _, y_c, _, _ = shared_factors(ds, (u_perp, np.zeros((8, 0))), 1)
         assert np.max(np.abs(y_c[:10])) <= 1e-10
 
     def test_block_orthogonality_identity(self, rng):
