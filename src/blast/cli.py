@@ -317,31 +317,24 @@ def cmd_fit(args) -> int:
 
 def _load_fit_models(fit_dir):
     est = io.read_point_estimates(Path(fit_dir) / "point_estimates.npz")
-    sigma_hat = est["sigma_hat_sq"]
-    p = sigma_hat.shape[0]
-    models = []
-    s = 1
-    while f"mu_gamma_{s}" in est:
-        models.append(CovarianceModel(
+    return [
+        CovarianceModel(
             lambda_hat=est["mu_lambda"],
             gamma_hat=est[f"mu_gamma_{s}"],
-            diag_add=sigma_hat,
-        ))
-        s += 1
-    if not models:
-        models.append(CovarianceModel(
-            lambda_hat=est["mu_lambda"],
-            gamma_hat=np.zeros((p, 0)),
-            diag_add=sigma_hat,
-        ))
-    return models
+            diag_add=est["sigma_hat_sq"],
+        )
+        for s in range(1, est["q_s"].size + 1)
+    ]
 
 
 def _resolve_split(args, p, seed):
     if getattr(args, "split_file", None):
         spec = io.read_json(args.split_file)
-        observed = np.asarray(spec.get("observed", []), dtype=np.intp)
-        if observed.size == 0:
+        try:
+            observed = np.asarray(spec["observed"], dtype=np.intp)
+        except (KeyError, TypeError, ValueError):
+            observed = np.zeros(0, dtype=np.intp)
+        if observed.ndim != 1 or observed.size == 0:
             raise ConfigError(f"{args.split_file}: needs a non-empty 'observed' index list")
         if observed.min() < 0 or observed.max() >= p:
             raise DataError(f"split indices outside [0, {p})")

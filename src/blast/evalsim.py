@@ -368,6 +368,17 @@ def gaussian_loglik(cov: CovarianceModel, y_test) -> float:
     return float(-0.5 * np.sum(quad) - 0.5 * n_rows * (logdet + p * np.log(2.0 * np.pi)))
 
 
+def _prediction_inputs(cov: CovarianceModel, y_test, observed_idx):
+    """Test rows as a 2-D array, and the observed outcome indices (by default
+    the second half of the outcomes)."""
+    y = np.asarray(y_test, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[None, :]
+    if observed_idx is None:
+        observed_idx = np.arange(cov.p // 2, cov.p)
+    return y, np.asarray(observed_idx, dtype=np.intp)
+
+
 def predictive_interval_coverage(cov: CovarianceModel, y_test, level,
                                  observed_idx=None) -> float:
     """Mean coverage of central predictive intervals over all test rows.
@@ -378,13 +389,7 @@ def predictive_interval_coverage(cov: CovarianceModel, y_test, level,
     """
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
-    y = np.asarray(y_test, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[None, :]
-    p = cov.p
-    if observed_idx is None:
-        observed_idx = np.arange(p // 2, p)
-    observed_idx = np.asarray(observed_idx, dtype=np.intp)
+    y, observed_idx = _prediction_inputs(cov, y_test, observed_idx)
     z = norm.ppf(0.5 + level / 2.0)
     hits = 0
     total = 0
@@ -400,13 +405,7 @@ def predictive_interval_coverage(cov: CovarianceModel, y_test, level,
 def prediction_nmse(cov: CovarianceModel, y_test, observed_idx=None):
     """Per-target mean squared prediction error over rows, normalized by each
     target's empirical variance in the test set."""
-    y = np.asarray(y_test, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[None, :]
-    p = cov.p
-    if observed_idx is None:
-        observed_idx = np.arange(p // 2, p)
-    observed_idx = np.asarray(observed_idx, dtype=np.intp)
+    y, observed_idx = _prediction_inputs(cov, y_test, observed_idx)
     errs = []
     target_idx = None
     for row in y:

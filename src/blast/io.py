@@ -12,6 +12,7 @@ import importlib.resources
 import json
 import re
 import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +46,18 @@ def study_csv_paths(data_dir):
     return [p for _, p in found]
 
 
+def _open(path, mode="r", **kwargs):
+    """path.open, with a missing or unreadable file raised as DataError."""
+    try:
+        return path.open(mode, **kwargs)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from None
+
+
 def read_study_csv(path):
     """One study matrix plus its header; parse errors carry row/col."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with _open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -233,7 +242,7 @@ def write_json(path, obj, schema=None):
 def read_json(path, schema=None):
     import jsonschema
 
-    with Path(path).open() as fh:
+    with _open(Path(path)) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -245,6 +254,13 @@ def read_json(path, schema=None):
             raise ParseError(f"{path}: schema violation at {list(exc.absolute_path)}: "
                              f"{exc.message}") from None
     return obj
+
+
+# Arrays of every point-estimates file, besides mu_gamma_<s> and
+# specific_diag_<s> for each study s = 1..len(q_s).
+_POINT_ESTIMATE_KEYS = ("mu_lambda", "delta_sq", "v_j", "sigma_hat_sq", "rho_lambda",
+                        "rho_gamma", "k_scalar", "gamma_n", "k0", "q_s", "n", "n_s",
+                        "k_gamma_s", "shared_diag")
 
 
 def write_point_estimates(path, spec, dims):
@@ -275,5 +291,17 @@ def write_point_estimates(path, spec, dims):
 
 
 def read_point_estimates(path):
-    with np.load(path) as z:
-        return {k: z[k] for k in z.files}
+    """The arrays of `write_point_estimates`, by name.  A missing file raises
+    DataError; an unreadable one, or one lacking an array, ParseError."""
+    path = Path(path)
+    try:
+        with _open(path, "rb") as fh, np.load(fh) as z:
+            est = {k: z[k] for k in z.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"{path}: not a readable point-estimates file ({exc})") from None
+    per_study = [f"{name}_{s}" for s in range(1, np.size(est.get("q_s", [])) + 1)
+                 for name in ("mu_gamma", "specific_diag")]
+    missing = [k for k in _POINT_ESTIMATE_KEYS + tuple(per_study) if k not in est]
+    if missing:
+        raise ParseError(f"{path}: missing arrays {missing}")
+    return est

@@ -17,12 +17,10 @@ from .errors import DataError, DimensionError, NumericalError
 
 logger = logging.getLogger(__name__)
 
-# Smaller dimension above which a tall/wide SVD goes through the Gram matrix
-# of the short side instead of LAPACK on the full matrix.
-_GRAM_MIN_DIM = 512
-# Gram path is only used while an eigendecomposition of the short side is
-# affordable; beyond this we switch to iterative methods.
-_GRAM_MAX_DIM = 4096
+# Smallest sigma_r^2 / sigma_1^2 the Gram route accepts.  Its factors lose
+# orthonormality like ~1e-2 * eps / ratio (measured on rank-2 inputs from
+# 500 x 2000 to 2500 x 2000): below 1e-13 at this floor, ~1e-6 at 1e-12.
+_GRAM_MIN_RATIO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,9 @@ def _svd_lapack(a, r):
 def _svd_gram(a, r):
     """Top-r SVD via eigendecomposition of the short-side Gram matrix.
 
-    Returns None when the requested components are numerically degenerate
-    or the eigensolver fails, in which case the caller falls back to LAPACK.
+    Returns None when the eigensolver fails or the smallest requested
+    component is below `_GRAM_MIN_RATIO` of the largest, in which case the
+    caller falls back to LAPACK.
     """
     m, n = a.shape
     transposed = m < n
@@ -121,10 +120,7 @@ def _svd_gram(a, r):
     v = v[:, ::-1][:, :r]
     if not _all_finite(w, v):
         return None
-    # Squared singular values below this are not resolvable through the Gram
-    # matrix; the reconstruction contract would be at risk.
-    tiny = max(w[0], 1.0) * 1e-24
-    if w[-1] <= tiny:
+    if w[-1] <= _GRAM_MIN_RATIO * w[0]:
         return None
     s = np.sqrt(np.maximum(w, 0.0))
     u = (b @ v) / s
@@ -135,33 +131,21 @@ def _svd_gram(a, r):
     return left, s, right
 
 
-def _svd_iterative(a, r):
-    """Top-r SVD by ARPACK; None when it fails, so the caller uses LAPACK."""
-    from scipy.sparse.linalg import ArpackError, svds
-
-    try:
-        u, s, vt = svds(a, k=r)
-    except (np.linalg.LinAlgError, ArpackError):
-        return None
-    if not _all_finite(u, s, vt):
-        return None
-    order = np.argsort(s)[::-1]
-    return u[:, order], s[order], vt[order].T
-
-
 def truncated_svd(a, r) -> SvdFactors:
     """Top-r singular value decomposition with a deterministic sign convention.
 
     The reconstruction left @ diag(singvals) @ right.T is the best rank-r
-    approximation of `a` in Frobenius norm.  Tall or wide inputs with a
-    moderate short side are routed through the short-side Gram matrix so no
-    factor larger than the input is ever formed.
+    approximation of `a` in Frobenius norm.  One policy picks the route from
+    the request: a low-rank request, r <= min(m, n) // 8, goes through the
+    eigendecomposition of the short-side Gram matrix, so no factor larger
+    than the input is ever formed; any other request goes to dense LAPACK.
 
-    Every route ends in dense LAPACK when it fails: a Gram eigensolver or
-    ARPACK failure falls back to numpy's `gesdd`, and a `gesdd` failure
-    (LinAlgError or non-finite kept factors) is retried once with scipy's
-    `gesvd`, logged as `event=svd_fallback`.  Raises NumericalError, naming
-    the shape and rank, when the retry fails as well.
+    Every route ends in dense LAPACK when it fails.  The Gram route falls
+    back to numpy's `gesdd` when its eigensolver fails or when
+    sigma_r^2 / sigma_1^2 is too small for the Gram matrix to resolve, and a
+    `gesdd` failure (LinAlgError or non-finite kept factors) is retried once
+    with scipy's `gesvd`, logged as `event=svd_fallback`.  Raises
+    NumericalError, naming the shape and rank, when the retry fails as well.
     """
     a = _check_matrix(a)
     m, n = a.shape
@@ -170,11 +154,7 @@ def truncated_svd(a, r) -> SvdFactors:
     if not 1 <= r <= small:
         raise DimensionError(f"rank r={r} outside [1, {small}] for shape {a.shape}")
 
-    out = None
-    if small > _GRAM_MAX_DIM and r <= small // 8:
-        out = _svd_iterative(a, r)
-    elif small > _GRAM_MIN_DIM and r <= small // 8:
-        out = _svd_gram(a, r)
+    out = _svd_gram(a, r) if r <= small // 8 else None
     if out is None:
         out = _svd_lapack(a, r)
     left, s, right = out

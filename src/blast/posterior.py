@@ -308,29 +308,24 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None,
     if stream is None:
         stream = derive_stream(0, ("inflation", "gamma"))
 
+    def num_den(i, j, dot):
+        # i and j select the pair rows and columns and broadcast together;
+        # dot(x) gives the matching inner products of the rows of x.
+        gg, gl = dot(mu_gamma_s), dot(mu_lambda)
+        num = ng[i] * ng[j] + gg**2 + ng[i] * nl[j] + nl[i] * ng[j] + 2.0 * gg * gl
+        den = v_j[i] * ng[j] + ng[i] * v_j[j]
+        return num, den
+
     rank = max(mu_gamma_s.shape[1] + mu_lambda.shape[1], 1)
     if p * p * rank <= _EXACT_PAIR_FLOPS:
         def block(i0, i1):
-            gg = mu_gamma_s[i0:i1] @ mu_gamma_s.T
-            gl = mu_lambda[i0:i1] @ mu_lambda.T
-            num = (
-                ng[i0:i1, None] * ng[None, :]
-                + gg**2
-                + ng[i0:i1, None] * nl[None, :]
-                + nl[i0:i1, None] * ng[None, :]
-                + 2.0 * gg * gl
-            )
-            den = v_j[i0:i1, None] * ng[None, :] + ng[i0:i1, None] * v_j[None, :]
-            return num, den
+            rows = slice(i0, i1)
+            return num_den((rows, None), (None, slice(None)), lambda x: x[rows] @ x.T)
 
         mean, best = _pair_summary(block, diag_b, p)
     else:
         def pairs(i, j):
-            gg = np.sum(mu_gamma_s[i] * mu_gamma_s[j], axis=1)
-            gl = np.sum(mu_lambda[i] * mu_lambda[j], axis=1)
-            num = ng[i] * ng[j] + gg**2 + ng[i] * nl[j] + ng[j] * nl[i] + 2.0 * gg * gl
-            den = v_j[i] * ng[j] + ng[i] * v_j[j]
-            return num, den
+            return num_den(i, j, lambda x: np.sum(x[i] * x[j], axis=1))
 
         mean, best = _pair_summary_sampled(pairs, diag_b, p, stream)
     return mean if strategy == "mean" else best

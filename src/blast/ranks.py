@@ -212,7 +212,7 @@ def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
 
     def one_study(s):
         k_hat, trace = select_study_rank(dataset.studies[s], eff_cfg)
-        # Reuse the selection SVD for the basis at the chosen rank.
+        # A second SVD, at the chosen rank, gives the basis in the report.
         fac = truncated_svd(dataset.studies[s], k_hat)
         return k_hat, trace, fac.right
 

@@ -131,9 +131,9 @@ def test_criterion_3_scaling_trend():
     """Errors fall as n_s and p grow together (the blessing of dimensionality).
 
     At n_s=600, p=400, seed 60003 the specific-factor SVD of study index 2
-    makes numpy's gesdd fail on some OpenBLAS builds, and only there does this
-    test pass through the gesvd fallback of `truncated_svd`.  The monkeypatched
-    tests in test_numerics.py exercise that branch on every machine.
+    made numpy's gesdd fail on some OpenBLAS builds.  That rank-4 request now
+    takes the Gram route of `truncated_svd`, so gesdd never sees it; the
+    monkeypatched tests in test_numerics.py exercise the gesvd fallback.
     """
     t0 = time.time()
     sizes = [(150, 100), (300, 200), (600, 400)]
@@ -173,9 +173,9 @@ def test_criterion_3_scaling_trend():
 
 def test_criterion_3_gesdd_failure_case():
     # The case of criterion 3 whose specific-factor SVD (study index 2, a
-    # rank p - k0 matrix with condition number ~3e15) makes numpy's gesdd
-    # fail on some OpenBLAS builds.  The fit must complete, through the
-    # gesvd fallback where needed, and keep its structural invariants.
+    # rank p - k0 matrix with condition number ~3e15) made numpy's gesdd
+    # fail on some OpenBLAS builds when it took the dense route.  The fit
+    # must complete and keep its structural invariants.
     sc = SimScenario(n_studies=3, n_per_study=600, p=400, k0=5, q_s=4,
                      loading_sd=0.5, seed=60_003)
     dataset, _ = generate(sc)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blast
@@ -18,6 +19,19 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def run_cli_child(script, *argv):
+    """Run `script` with `argv` in a child process, so that its stderr and
+    exit status are the ones a user would see."""
+    src = str(Path(blast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+CLI_SCRIPT = "import sys\nfrom blast.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
 def file_hash(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -26,6 +40,13 @@ def file_hash(path):
 def sim_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim")
     assert run_cli("simulate", "--preset", "desk", "--seed", 5, "--out", out) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def point_fit_dir(sim_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("point_fit")
+    assert run_cli("fit", sim_dir, "--nmc", 0, "--seed", 1, "--out", out) == 0
     return out
 
 
@@ -296,31 +317,59 @@ class TestExitCodes:
         assert run_cli("fit", data, "--kmax", 5, "--nmc", 0) == 4
 
     def test_svd_failure_exits_4(self, tmp_path):
-        # Both LAPACK SVD drivers are patched to fail in a child process, so
-        # that its stderr and exit status are the ones a user would see.
+        # Both LAPACK SVD drivers are patched to fail in the child process.
         data = tmp_path / "data"
         ds, _ = generate(SimScenario(n_studies=2, n_per_study=40, p=20, k0=2, q_s=1, seed=4))
         io.write_dataset(data, ds)
         script = (
-            "import sys, numpy, scipy.linalg\n"
-            "from blast.cli import main\n"
+            "import numpy, scipy.linalg\n"
             "def fail(*args, **kwargs):\n"
             "    raise numpy.linalg.LinAlgError('SVD did not converge')\n"
             "numpy.linalg.svd = scipy.linalg.svd = fail\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        src = str(Path(blast.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "fit", str(data), "--kmax", "5", "--nmc", "0",
-             "--out", str(tmp_path / "fit")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        ) + CLI_SCRIPT
+        proc = run_cli_child(script, "fit", data, "--kmax", 5, "--nmc", 0,
+                             "--out", tmp_path / "fit")
         assert proc.returncode == 4, proc.stderr
         assert "event=svd_fallback" in proc.stderr
         assert "event=numerical_error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case,code", [
+        ("missing_fit_dir", 3),
+        ("missing_test_file", 3),
+        ("truncated_point_estimates", 3),
+        ("point_estimates_without_sigma_hat_sq", 3),
+        ("non_integer_split", 2),
+    ])
+    def test_predict_bad_input(self, sim_dir, point_fit_dir, tmp_path, case, code):
+        fit_dir = point_fit_dir
+        good = fit_dir / "point_estimates.npz"
+        bad = tmp_path / "fit"
+        bad.mkdir()
+        test_file = sim_dir / "study_1.csv"
+        extra = []
+        if case == "missing_fit_dir":
+            fit_dir = tmp_path / "missing"
+        elif case == "missing_test_file":
+            test_file = tmp_path / "missing.csv"
+        elif case == "truncated_point_estimates":
+            (bad / good.name).write_bytes(good.read_bytes()[:500])
+            fit_dir = bad
+        elif case == "point_estimates_without_sigma_hat_sq":
+            with np.load(good) as z:
+                arrays = {k: z[k] for k in z.files if k != "sigma_hat_sq"}
+            np.savez(bad / good.name, **arrays)
+            fit_dir = bad
+        else:
+            split = tmp_path / "split.json"
+            split.write_text(json.dumps({"observed": "abc"}))
+            extra = ["--split-file", split]
+        proc = run_cli_child(CLI_SCRIPT, "predict", fit_dir, "--test", test_file, *extra,
+                             "--out", tmp_path / "out")
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if case == "point_estimates_without_sigma_hat_sq":
+            assert "sigma_hat_sq" in proc.stderr
 
     def test_unknown_preset_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

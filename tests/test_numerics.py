@@ -3,10 +3,8 @@ import logging
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from blast import numerics
 from blast.errors import DataError, DimensionError, NumericalError
@@ -40,8 +38,7 @@ def broken_svd(failure):
 def dense_truncated_svd(monkeypatch, a, r):
     """truncated_svd forced onto the dense LAPACK route."""
     with monkeypatch.context() as m:
-        m.setattr(numerics, "_GRAM_MIN_DIM", 10**9)
-        m.setattr(numerics, "_GRAM_MAX_DIM", 10**9)
+        m.setattr(numerics, "_svd_gram", lambda a, r: None)
         return truncated_svd(a, r)
 
 
@@ -106,7 +103,7 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(fac_p.left, fac.left[perm], atol=1e-9)
 
     def test_gram_path_contracts(self, rng):
-        # short side above the Gram threshold, rank small
+        # rank small against the short side: the Gram route
         a = rng.standard_normal((1400, 600)) @ np.diag(
             np.concatenate([np.full(5, 30.0), np.ones(595)])
         )
@@ -118,9 +115,21 @@ class TestTruncatedSvd:
         best = (u[:, :5] * s[:5]) @ vt[:5]
         assert np.linalg.norm(fac.reconstruct() - best) <= 1e-8 * s[0]
 
+    @pytest.mark.parametrize("sigma_2", [1e-6, 1e-8])
+    def test_gram_route_rejects_unresolvable_component(self, rng, sigma_2):
+        # sigma_2^2 / sigma_1^2 is far below what the Gram matrix resolves;
+        # the request must fall back to LAPACK and keep its orthonormal factors
+        u = random_orthonormal(rng, 700, 2)
+        v = random_orthonormal(rng, 520, 2)
+        a = (u * [1.0, sigma_2]) @ v.T
+        fac = truncated_svd(a, 2)
+        assert np.abs(fac.left.T @ fac.left - np.eye(2)).max() <= 1e-10
+        assert np.abs(fac.right.T @ fac.right - np.eye(2)).max() <= 1e-10
+        assert np.array_equal(fac.singvals, numerics._svd_lapack(a, 2)[1])
+
     def test_iterative_path_known_factorization(self, rng):
-        # short side above the eigendecomposition cutoff routes to the
-        # iterative solver; the factorization is known exactly
+        # a large low-rank request (short side 4100, r=3) takes the Gram
+        # route; the factorization is known exactly
         m, n, r = 4200, 4100, 6
         u = random_orthonormal(rng, m, r)
         v = random_orthonormal(rng, n, r)
@@ -174,7 +183,6 @@ class TestTruncatedSvd:
     def test_gram_route_failure_falls_back_to_dense(self, rng, monkeypatch, failure):
         a = rng.standard_normal((60, 40))
         expected = dense_truncated_svd(monkeypatch, a, 4)
-        monkeypatch.setattr(numerics, "_GRAM_MIN_DIM", 8)
         calls = []
 
         def broken_eigh(g):
@@ -187,27 +195,6 @@ class TestTruncatedSvd:
         monkeypatch.setattr(numerics.np.linalg, "eigh", broken_eigh)
         fac = truncated_svd(a, 4)
         assert calls == [(40, 40)]  # the Gram route was taken
-        assert_same_factors(fac, expected)
-
-    @pytest.mark.parametrize("failure", ["noconv", "linalg", "nan"])
-    def test_iterative_route_failure_falls_back_to_dense(self, rng, monkeypatch, failure):
-        a = rng.standard_normal((60, 40))
-        expected = dense_truncated_svd(monkeypatch, a, 4)
-        monkeypatch.setattr(numerics, "_GRAM_MIN_DIM", 8)
-        monkeypatch.setattr(numerics, "_GRAM_MAX_DIM", 8)
-        calls = []
-
-        def broken_svds(x, k):
-            calls.append(k)
-            if failure == "noconv":
-                raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-            if failure == "linalg":
-                raise np.linalg.LinAlgError("singular matrix")
-            return np.zeros((x.shape[0], k)), np.full(k, np.nan), np.zeros((k, x.shape[1]))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", broken_svds)
-        fac = truncated_svd(a, 4)
-        assert calls == [4]  # the iterative route was taken
         assert_same_factors(fac, expected)
 
 
