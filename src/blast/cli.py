@@ -330,14 +330,15 @@ def _load_fit_models(fit_dir):
 def _resolve_split(args, p, seed):
     if getattr(args, "split_file", None):
         spec = io.read_json(args.split_file)
-        try:
-            observed = np.asarray(spec["observed"], dtype=np.intp)
-        except (KeyError, TypeError, ValueError):
-            observed = np.zeros(0, dtype=np.intp)
-        if observed.ndim != 1 or observed.size == 0:
-            raise ConfigError(f"{args.split_file}: needs a non-empty 'observed' index list")
-        if observed.min() < 0 or observed.max() >= p:
+        observed = spec.get("observed") if isinstance(spec, dict) else None
+        # `type(i) is int`: JSON true/false parse to bool, a subclass of int
+        if not (isinstance(observed, list) and observed
+                and all(type(i) is int for i in observed)):
+            raise ConfigError(f"{args.split_file}: needs a non-empty 'observed' list "
+                              "of integer indices")
+        if min(observed) < 0 or max(observed) >= p:
             raise DataError(f"split indices outside [0, {p})")
+        observed = np.asarray(observed, dtype=np.intp)
         detail = {"mode": "file", "path": str(args.split_file)}
         return observed, detail
     # random halves: observe one half, predict the other

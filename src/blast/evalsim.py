@@ -259,8 +259,7 @@ def _pair_coverage(draw_rows, truth_rows, level):
     # use the same reduction so degenerate draws cover their own value.
     prods = np.einsum("tik,tjk->tij", draw_rows, draw_rows)
     alpha = (1.0 - level) / 2.0
-    lo = np.quantile(prods, alpha, axis=0)
-    hi = np.quantile(prods, 1.0 - alpha, axis=0)
+    lo, hi = np.quantile(prods, [alpha, 1.0 - alpha], axis=0)
     target = np.einsum("ik,jk->ij", truth_rows, truth_rows)
     covered = (target >= lo) & (target <= hi)
     iu = np.triu_indices(covered.shape[0])

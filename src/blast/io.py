@@ -7,6 +7,7 @@ header exactly.  Posterior draws go to a packed little-endian binary
 draw on request.  Every JSON artifact validates against a shipped schema.
 """
 
+import contextlib
 import csv
 import importlib.resources
 import json
@@ -46,12 +47,19 @@ def study_csv_paths(data_dir):
     return [p for _, p in found]
 
 
+@contextlib.contextmanager
 def _open(path, mode="r", **kwargs):
-    """path.open, with a missing or unreadable file raised as DataError."""
+    """path.open as a context manager, with a missing or unreadable file
+    raised as DataError and text that does not decode raised as ParseError."""
     try:
-        return path.open(mode, **kwargs)
+        fh = path.open(mode, **kwargs)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid {exc.encoding} text") from None
 
 
 def read_study_csv(path):

@@ -6,8 +6,8 @@ ridge regression with a normal-inverse-gamma prior, so the posterior is
 closed-form.  Credible intervals from the raw posterior undercover; the
 per-pair inflation factors b (and their mean/max summaries rho) widen the
 conditional loading variance to restore asymptotic frequentist coverage.
-Draws are generated independently per (draw, outcome) on dedicated RNG
-substreams, so output never depends on the parallel schedule.
+Draw t takes all of its variates from one counter-based RNG substream keyed
+by (seed, "draw", t), so output never depends on the parallel schedule.
 """
 
 import logging
@@ -248,9 +248,13 @@ def _pair_summary(num_den_fn, diag_b, p):
     return total / n_pairs, best
 
 
-def _pair_summary_sampled(num_den_pairs_fn, diag_b, p, stream):
-    """Subsampled mean over off-diagonal pairs; max over sample and diagonal."""
-    rng = stream.generator()
+def _pair_summary_sampled(num_den_pairs_fn, diag_b, p):
+    """Subsampled mean over off-diagonal pairs; max over sample and diagonal.
+
+    The subsample estimates a deterministic mean, so it comes from one fixed
+    stream rather than the run seed.
+    """
+    rng = derive_stream(0, ("inflation", "pairs")).generator()
     m = _PAIR_SUBSAMPLE
     i = rng.integers(0, p, size=m)
     j = rng.integers(0, p - 1, size=m)
@@ -265,21 +269,18 @@ def _pair_summary_sampled(num_den_pairs_fn, diag_b, p, stream):
     return mean, best
 
 
-def inflation_lambda(mu_lambda, v_j, strategy="mean", fixed=None, stream=None) -> float:
+def inflation_lambda(mu_lambda, v_j, strategy="mean", fixed=None) -> float:
     """Variance-inflation factor for the shared loadings.
 
     This is the specific-loading factor of a study with no shared part
     beneath it, so it delegates to `inflation_gamma`.
     """
-    if stream is None:
-        stream = derive_stream(0, ("inflation", "lambda"))
     p = np.shape(v_j)[0]
     return inflation_gamma(mu_lambda, np.zeros((p, 0)), v_j, strategy=strategy,
-                           fixed=fixed, stream=stream)
+                           fixed=fixed)
 
 
-def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None,
-                    stream=None) -> float:
+def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None) -> float:
     """Variance-inflation factor for one study's specific loadings.
 
     Per-pair factors compare the sampling variability of the loading products
@@ -305,8 +306,6 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None,
     # V_j estimates the residual variance sigma_j^2 and substitutes it
     # directly in the oracle factors.
     diag_b = np.sqrt(1.0 + (ng + 2.0 * nl) / (2.0 * v_j))
-    if stream is None:
-        stream = derive_stream(0, ("inflation", "gamma"))
 
     def num_den(i, j, dot):
         # i and j select the pair rows and columns and broadcast together;
@@ -327,25 +326,20 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None,
         def pairs(i, j):
             return num_den(i, j, lambda x: np.sum(x[i] * x[j], axis=1))
 
-        mean, best = _pair_summary_sampled(pairs, diag_b, p, stream)
+        mean, best = _pair_summary_sampled(pairs, diag_b, p)
     return mean if strategy == "mean" else best
 
 
 def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
                          dims: LatentDims, hp: Hyperparams,
                          inflation_strategy="mean", inflation_fixed=None,
-                         gamma_inflation_source="rho_gamma",
-                         inflation_stream=None) -> PosteriorSpec:
+                         gamma_inflation_source="rho_gamma") -> PosteriorSpec:
     """Assemble all posterior parameters (steps 3-6 of the full procedure)."""
     if gamma_inflation_source not in ("rho_gamma", "rho_lambda"):
         raise ParameterError(f"unknown gamma_inflation_source {gamma_inflation_source!r}")
     mu_l, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, hp)
-    if inflation_stream is None:
-        inflation_stream = derive_stream(0, ("inflation",))
-    rho_lambda = inflation_lambda(
-        mu_l, v_j, strategy=inflation_strategy, fixed=inflation_fixed,
-        stream=inflation_stream.child("lambda"),
-    )
+    rho_lambda = inflation_lambda(mu_l, v_j, strategy=inflation_strategy,
+                                  fixed=inflation_fixed)
 
     mu_gamma_list, rho_gamma, k_gamma_s = [], [], []
     f_t_y, f_t_m = [], []
@@ -363,10 +357,8 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
         mg = mu_gamma(y_s, m_hat_s, f_hat, mu_l, tau_sq)
         mu_gamma_list.append(mg)
         rho_gamma.append(
-            inflation_gamma(
-                mg, mu_l, v_j, strategy=inflation_strategy, fixed=inflation_fixed,
-                stream=inflation_stream.child("gamma", s),
-            )
+            inflation_gamma(mg, mu_l, v_j, strategy=inflation_strategy,
+                            fixed=inflation_fixed)
         )
         k_gamma_s.append(1.0 / (dataset.n_s[s] + 1.0 / tau_sq))
         f_t_y.append(f_hat.T @ y_s)
@@ -392,34 +384,25 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
 
 
 def sample_draw(spec: PosteriorSpec, stream: RngStream) -> PosteriorDraw:
-    """One joint posterior draw on the given stream.
+    """One joint posterior draw, all of it from one generator on `stream`.
 
-    Outcome j consumes variates from stream.child(j) in a fixed order:
-    sigma^2, then the shared-loading normals, then per-study specific-loading
-    normals, so results are identical under any parallel schedule.  The
-    specific-loading mean is recomputed from the drawn shared loadings.
+    The posterior is a product over outcomes, so each block is drawn for all
+    p outcomes at once, in a fixed order: the p variances sigma^2, the p x k0
+    shared-loading normals, then each study's p x q_s specific-loading
+    normals.  The specific-loading mean is recomputed from the drawn shared
+    loadings.
     """
     p, k0 = spec.mu_lambda.shape
-    num_studies = len(spec.q_s)
-    lam = np.empty((p, k0))
-    sig = np.empty(p)
-    gammas = [np.empty((p, q)) for q in spec.q_s]
-    lam_sd_base = spec.rho_lambda**2 * spec.k_scalar
-    ig_shape = spec.gamma_n / 2.0
-    for j in range(p):
-        rng = stream.child(j).generator()
-        sig_j = (spec.gamma_n * spec.delta_sq[j] / 2.0) / rng.standard_gamma(ig_shape)
-        sig[j] = sig_j
-        lam_j = spec.mu_lambda[j] + np.sqrt(sig_j * lam_sd_base) * rng.standard_normal(k0)
-        lam[j] = lam_j
-        for s in range(num_studies):
-            q = spec.q_s[s]
-            if q == 0:
-                continue
-            k_g = spec.k_gamma_s[s]
-            mean = (spec.f_t_y_s[s][:, j] - spec.f_t_m_s[s] @ lam_j) * k_g
-            sd = np.sqrt(spec.rho_for_gamma(s) ** 2 * sig_j * k_g)
-            gammas[s][j] = mean + sd * rng.standard_normal(q)
+    rng = stream.generator()
+    sig = (spec.gamma_n * spec.delta_sq / 2.0) / rng.standard_gamma(spec.gamma_n / 2.0, size=p)
+    lam_sd = np.sqrt(sig * spec.rho_lambda**2 * spec.k_scalar)
+    lam = spec.mu_lambda + lam_sd[:, None] * rng.standard_normal((p, k0))
+    gammas = []
+    for s, q in enumerate(spec.q_s):
+        k_g = spec.k_gamma_s[s]
+        mean = (spec.f_t_y_s[s].T - lam @ spec.f_t_m_s[s].T) * k_g
+        sd = np.sqrt(spec.rho_for_gamma(s) ** 2 * sig * k_g)
+        gammas.append(mean + sd[:, None] * rng.standard_normal((p, q)))
     return PosteriorDraw(
         lambda_tilde=lam,
         gamma_tilde_s=tuple(gammas),
@@ -566,7 +549,6 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
         inflation_strategy=config.inflation_strategy,
         inflation_fixed=config.inflation_fixed,
         gamma_inflation_source=config.gamma_inflation_source,
-        inflation_stream=derive_stream(config.seed, ("inflation",)),
     )
     timings["posterior_fit_s"] = time.perf_counter() - t0
 

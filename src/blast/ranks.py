@@ -60,9 +60,6 @@ class JicTrace:
     loglik: np.ndarray
     jic: np.ndarray
 
-    def penalty(self, n_s, p):
-        return self.ks * max(n_s, p) * math.log(min(n_s, p))
-
     def to_dict(self):
         return {
             "k": [int(k) for k in self.ks],

@@ -340,6 +340,10 @@ class TestExitCodes:
         ("truncated_point_estimates", 3),
         ("point_estimates_without_sigma_hat_sq", 3),
         ("non_integer_split", 2),
+        ("float_split", 2),
+        ("non_utf8_test_file", 3),
+        ("non_utf8_split_file", 3),
+        ("non_utf8_fit_config", 3),
     ])
     def test_predict_bad_input(self, sim_dir, point_fit_dir, tmp_path, case, code):
         fit_dir = point_fit_dir
@@ -348,6 +352,7 @@ class TestExitCodes:
         bad.mkdir()
         test_file = sim_dir / "study_1.csv"
         extra = []
+        not_utf8 = tmp_path / "not_utf8"
         if case == "missing_fit_dir":
             fit_dir = tmp_path / "missing"
         elif case == "missing_test_file":
@@ -360,12 +365,23 @@ class TestExitCodes:
                 arrays = {k: z[k] for k in z.files if k != "sigma_hat_sq"}
             np.savez(bad / good.name, **arrays)
             fit_dir = bad
+        elif case == "non_utf8_test_file":
+            not_utf8.write_bytes(b"\xff\xfe\n1,2\n")
+            test_file = not_utf8
+        elif case == "non_utf8_split_file":
+            not_utf8.write_bytes(b"\xff\xfe{}")
+            extra = ["--split-file", not_utf8]
+        elif case == "non_utf8_fit_config":
+            not_utf8.write_bytes(b"\xff\xfe{}")
         else:
             split = tmp_path / "split.json"
-            split.write_text(json.dumps({"observed": "abc"}))
+            observed = [1.5, 2] if case == "float_split" else "abc"
+            split.write_text(json.dumps({"observed": observed}))
             extra = ["--split-file", split]
-        proc = run_cli_child(CLI_SCRIPT, "predict", fit_dir, "--test", test_file, *extra,
-                             "--out", tmp_path / "out")
+        argv = ["predict", fit_dir, "--test", test_file, *extra]
+        if case == "non_utf8_fit_config":
+            argv = ["fit", sim_dir, "--config", not_utf8]
+        proc = run_cli_child(CLI_SCRIPT, *argv, "--out", tmp_path / "out")
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         if case == "point_estimates_without_sigma_hat_sq":

@@ -266,8 +266,7 @@ class TestInflation:
         old = post._EXACT_PAIR_FLOPS
         post._EXACT_PAIR_FLOPS = 0  # force the sampled path
         try:
-            approx = inflation_lambda(mu, v, strategy="mean",
-                                      stream=derive_stream(5, ("s",)))
+            approx = inflation_lambda(mu, v, strategy="mean")
         finally:
             post._EXACT_PAIR_FLOPS = old
         assert abs(approx - exact) / exact < 0.01
@@ -392,6 +391,37 @@ class TestSampleDraw:
         d = sample_draw(spec, derive_stream(2, ("draw", 0)))
         expected = -(5.0 * d.lambda_tilde[:, 0]) / 100.0
         np.testing.assert_allclose(d.gamma_tilde_s[0][:, 0], expected, atol=1e-5)
+
+    def test_specific_loading_moments(self):
+        p, k0 = 3, 2
+        spec = synthetic_spec(p=p, k0=k0, n=50.0, delta=2.0, q_s=(0, 2),
+                              rho_gamma=(1.0, 1.7), seed=5)
+        f_t_y = np.random.default_rng(8).standard_normal((2, p))
+        spec = replace(spec, f_t_y_s=(np.zeros((0, p)), f_t_y))
+        root = derive_stream(31, ("draw",))
+        t_draws = 10_000
+        gams = np.empty((t_draws, p, 2))
+        for t in range(t_draws):
+            d = sample_draw(spec, root.child(t))
+            assert d.gamma_tilde_s[0].shape == (p, 0)
+            gams[t] = d.gamma_tilde_s[1]
+        k_g = spec.k_gamma_s[1]
+        sigma_bar = spec.gamma_n * spec.delta_sq[0] / (spec.gamma_n - 2.0)
+        se = gams.std(axis=0) / np.sqrt(t_draws)
+        assert np.all(np.abs(gams.mean(axis=0) - f_t_y.T * k_g) < 4 * se)
+        target_var = spec.rho_gamma[1] ** 2 * sigma_bar * k_g
+        assert np.all(np.abs(gams.var(axis=0) / target_var - 1.0) < 0.10)
+
+    def test_draws_are_prefix_stable(self):
+        # draw t depends only on (seed, "draw", t), not on n_mc
+        ds, dims, fe, hp = small_fit(seed=6)
+        short = run_blast(ds, BlastConfig(dims=dims, n_mc=3, seed=41)).draws
+        long = run_blast(ds, BlastConfig(dims=dims, n_mc=5, seed=41)).draws
+        for d3, d5 in zip(short, long[:3], strict=True):
+            assert np.array_equal(d3.lambda_tilde, d5.lambda_tilde)
+            assert np.array_equal(d3.sigma_tilde_sq, d5.sigma_tilde_sq)
+            for g3, g5 in zip(d3.gamma_tilde_s, d5.gamma_tilde_s, strict=True):
+                assert np.array_equal(g3, g5)
 
     def test_reproducible_and_schedule_free(self):
         ds, dims, fe, hp = small_fit(seed=6)
