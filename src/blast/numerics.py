@@ -22,6 +22,11 @@ logger = logging.getLogger(__name__)
 # 500 x 2000 to 2500 x 2000): below 1e-13 at this floor, ~1e-6 at 1e-12.
 _GRAM_MIN_RATIO = 1e-4
 
+# Subspace iteration on the Gram matrix stops once every kept Ritz pair has
+# ||g x - theta x|| <= _EIG_TOL * theta_1, which is roundoff level for the
+# Gram matrices the pipeline forms (short side up to a few thousand).
+_EIG_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class SvdFactors:
@@ -101,23 +106,73 @@ def _svd_lapack(a, r):
     return out
 
 
+def _subspace_eigh(g, r):
+    """Top-r eigenpairs of the symmetric PSD matrix g by subspace iteration.
+
+    A block of width l = 2r + 5, started from one fixed random stream (it
+    only seeds the iteration), alternates z = g @ q with QR; after each
+    product the Rayleigh-Ritz pairs of q.T @ z are checked (Halko, Martinsson
+    & Tropp, SIAM Rev. 2011).  Returns ((w, v), iters), w nonincreasing, once
+    every kept pair meets `_EIG_TOL`.  Returns (None, reason) when a full
+    `eigh` is the better choice: "wide_block" when the block would span half
+    of g or more, "slow_gap" when the first Ritz ratio theta_l / theta_r
+    predicts more than 2k / l iterations (about the cost of a full `eigh`)
+    or the iteration reaches that cap, "solver" on a LinAlgError or a
+    non-finite value.
+    """
+    k = g.shape[0]
+    width = 2 * r + 5
+    if 2 * width >= k:
+        return None, "wide_block"
+    cap = 2 * k // width
+    omega = RngStream(0, ("gram_eig",)).generator().standard_normal((k, width))
+    try:
+        q = np.linalg.qr(g @ omega)[0]
+        for it in range(1, cap + 1):
+            z = g @ q
+            theta, w = np.linalg.eigh(q.T @ z)
+            theta, w = theta[::-1], w[:, ::-1]
+            if not _all_finite(theta, w):
+                return None, "solver"
+            x = q @ w[:, :r]
+            # relative to theta_1 before squaring, so large data cannot overflow
+            scale = max(theta[0], np.finfo(np.float64).tiny)
+            resid = np.linalg.norm((z @ w[:, :r] - x * theta[:r]) / scale, axis=0)
+            if np.all(resid <= _EIG_TOL):
+                return (theta[:r], x), it
+            # errors shrink like (theta_l / theta_r)^it
+            if it == 1 and theta[-1] >= theta[r - 1] * _EIG_TOL ** (1.0 / cap):
+                return None, "slow_gap"
+            q = np.linalg.qr(z)[0]
+    except np.linalg.LinAlgError:
+        return None, "solver"
+    return None, "slow_gap"
+
+
 def _svd_gram(a, r):
     """Top-r SVD via eigendecomposition of the short-side Gram matrix.
 
-    Returns None when the eigensolver fails or the smallest requested
-    component is below `_GRAM_MIN_RATIO` of the largest, in which case the
-    caller falls back to LAPACK.
+    The top r eigenpairs come from `_subspace_eigh`, or from a full `eigh`
+    when it declines.  Returns None when the eigensolver fails or the
+    smallest requested component is below `_GRAM_MIN_RATIO` of the largest,
+    in which case the caller falls back to LAPACK.
     """
     m, n = a.shape
     transposed = m < n
     b = a.T if transposed else a  # b is tall: rows >= cols
     g = b.T @ b
-    try:
-        w, v = np.linalg.eigh(g)
-    except np.linalg.LinAlgError:
-        return None
-    w = w[::-1][:r]
-    v = v[:, ::-1][:, :r]
+    top, detail = _subspace_eigh(g, r)
+    if top is not None:
+        logger.debug("event=gram_eig k=%d r=%d route=subspace iters=%d", g.shape[0], r, detail)
+        w, v = top
+    else:
+        logger.debug("event=gram_eig k=%d r=%d route=full reason=%s", g.shape[0], r, detail)
+        try:
+            w, v = np.linalg.eigh(g)
+        except np.linalg.LinAlgError:
+            return None
+        w = w[::-1][:r]
+        v = v[:, ::-1][:, :r]
     if not _all_finite(w, v):
         return None
     if w[-1] <= _GRAM_MIN_RATIO * w[0]:
@@ -139,6 +194,14 @@ def truncated_svd(a, r) -> SvdFactors:
     the request: a low-rank request, r <= min(m, n) // 8, goes through the
     eigendecomposition of the short-side Gram matrix, so no factor larger
     than the input is ever formed; any other request goes to dense LAPACK.
+
+    On the Gram route only the top r eigenpairs are computed, by seeded
+    subspace iteration run until every residual reaches roundoff, so the
+    result matches a full `eigh` to roundoff and never depends on the run
+    seed.  When the spectrum has too small a gap after rank r for that to be
+    cheaper, or the iteration fails, a full `eigh` of the Gram matrix runs
+    instead.  Each request logs `event=gram_eig` at DEBUG with the route
+    taken: `route=subspace iters=N` or `route=full reason=...`.
 
     Every route ends in dense LAPACK when it fails.  The Gram route falls
     back to numpy's `gesdd` when its eigensolver fails or when

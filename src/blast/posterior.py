@@ -226,8 +226,8 @@ def mu_gamma(y_s, m_hat_s, f_hat_s, mu_lambda, tau_gamma_sq) -> np.ndarray:
 def _pair_summary(num_den_fn, diag_b, p):
     """Mean/max of b over unordered pairs, blocked for fixed reduction order.
 
-    num_den_fn(i0, i1) returns the off-diagonal (num, den) arrays for the row
-    block [i0, i1); b = sqrt(1 + num/den) with 0/0 treated as 0.
+    num_den_fn(i0, i1) returns the (num, den) arrays of rows [i0, i1) against
+    columns [i0, p); b = sqrt(1 + num/den) with 0/0 treated as 0.
     """
     total = float(np.sum(diag_b))
     best = float(np.max(diag_b))
@@ -237,13 +237,11 @@ def _pair_summary(num_den_fn, diag_b, p):
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(den > 0.0, num / den, 0.0)
         b = np.sqrt(1.0 + ratio)
-        # keep strictly-upper entries of this block row range
-        cols = np.arange(p)[None, :]
-        rows = np.arange(i0, i1)[:, None]
-        mask = cols > rows
-        total += float(np.sum(b[mask]))
-        if np.any(mask):
-            best = max(best, float(np.max(b[mask])))
+        # strictly-upper entries: column c > row a of the block, in row order
+        upper = b[~np.tri(i1 - i0, p - i0, dtype=bool)]
+        total += float(np.sum(upper))
+        if upper.size:
+            best = max(best, float(np.max(upper)))
     n_pairs = p * (p - 1) / 2.0
     return total / n_pairs, best
 
@@ -318,8 +316,9 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None) -> 
     rank = max(mu_gamma_s.shape[1] + mu_lambda.shape[1], 1)
     if p * p * rank <= _EXACT_PAIR_FLOPS:
         def block(i0, i1):
-            rows = slice(i0, i1)
-            return num_den((rows, None), (None, slice(None)), lambda x: x[rows] @ x.T)
+            rows, cols = slice(i0, i1), slice(i0, None)
+            # slicing the full product (not x[cols]) keeps the products bit-equal
+            return num_den((rows, None), (None, cols), lambda x: (x[rows] @ x.T)[:, cols])
 
         mean, best = _pair_summary(block, diag_b, p)
     else:
@@ -550,6 +549,7 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
         inflation_fixed=config.inflation_fixed,
         gamma_inflation_source=config.gamma_inflation_source,
     )
+    _require_finite(spec)
     timings["posterior_fit_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -575,6 +575,26 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
         report["jic"] = [t.to_dict() for t in jic_traces]
     return BlastResult(factors=fe, dims=dims, hyperparams=hp, spec=spec,
                        draws=tuple(draws), report=report)
+
+
+def _require_finite(spec):
+    """Raise NumericalError naming the first non-finite posterior quantity.
+
+    Data of extreme scale can overflow the inflation products, which would
+    otherwise leave NaN in rho and in every draw.
+    """
+    quantities = (
+        ("rho_lambda", (spec.rho_lambda,)),
+        ("rho_gamma", spec.rho_gamma),
+        ("mu_lambda", (spec.mu_lambda,)),
+        ("mu_gamma_s", spec.mu_gamma_s),
+        ("delta_sq", (spec.delta_sq,)),
+    )
+    for name, values in quantities:
+        if not all(np.all(np.isfinite(v)) for v in values):
+            raise NumericalError(
+                f"posterior {name} is not finite; the data scale overflows double precision"
+            )
 
 
 def _sample_all(spec, config):

@@ -13,6 +13,7 @@ import blast
 from blast import io
 from blast.cli import RunConfig, build_config, build_parser, main
 from blast.evalsim import SimScenario, generate
+from blast.spectral import MultiStudyDataset
 
 
 def run_cli(*argv):
@@ -332,6 +333,16 @@ class TestExitCodes:
         assert proc.returncode == 4, proc.stderr
         assert "event=svd_fallback" in proc.stderr
         assert "event=numerical_error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_scale_exits_4(self, tmp_path):
+        data = tmp_path / "data"
+        ds, _ = generate(SimScenario(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4,
+                                     loading_sd=0.5, seed=101))
+        io.write_dataset(data, MultiStudyDataset(tuple(y * 1e100 for y in ds.studies)))
+        proc = run_cli_child(CLI_SCRIPT, "fit", data, "--nmc", 5, "--out", tmp_path / "fit")
+        assert proc.returncode == 4, proc.stderr
+        assert "rho_lambda is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("case,code", [

@@ -180,7 +180,7 @@ class TestTruncatedSvd:
         assert "gesvd " + ("nonfinite" if failure == "nan" else "'SVD did not") in str(err.value)
 
     @pytest.mark.parametrize("failure", ["raise", "nan"])
-    def test_gram_route_failure_falls_back_to_dense(self, rng, monkeypatch, failure):
+    def test_gram_route_failure_falls_back_to_dense(self, rng, monkeypatch, caplog, failure):
         a = rng.standard_normal((60, 40))
         expected = dense_truncated_svd(monkeypatch, a, 4)
         calls = []
@@ -193,9 +193,71 @@ class TestTruncatedSvd:
             return w * np.nan, v
 
         monkeypatch.setattr(numerics.np.linalg, "eigh", broken_eigh)
-        fac = truncated_svd(a, 4)
-        assert calls == [(40, 40)]  # the Gram route was taken
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            fac = truncated_svd(a, 4)
+        # the Gram route was taken: both of its eigensolvers ran and failed,
+        # the subspace iteration on its 13 x 13 Ritz matrix, then the full
+        # eigendecomposition of the 40 x 40 Gram matrix
+        assert calls == [(13, 13), (40, 40)]
+        assert "event=gram_eig k=40 r=4 route=full reason=solver" in caplog.text
         assert_same_factors(fac, expected)
+
+    def test_subspace_iteration_matches_full_eigh(self, rng, monkeypatch, caplog):
+        # shaped like the shared-factor request at large p: 2500 x 2000, r=5,
+        # five separated components above a noise bulk
+        u = random_orthonormal(rng, 2500, 5)
+        v = random_orthonormal(rng, 2000, 5)
+        a = rng.standard_normal((2500, 2000)) + (u * [900.0, 700.0, 500.0, 350.0, 250.0]) @ v.T
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            fac = truncated_svd(a, 5)
+        assert "event=gram_eig k=2000 r=5 route=subspace" in caplog.text
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_subspace_eigh", lambda g, r: (None, "forced"))
+            full = truncated_svd(a, 5)
+        np.testing.assert_allclose(fac.singvals, full.singvals, rtol=1e-12)
+        for got, want in [(fac.left, full.left), (fac.right, full.right)]:
+            # sine of the largest principal angle between the two subspaces
+            assert np.linalg.norm(got - want @ (want.T @ got), 2) <= 1e-10
+
+    def test_subspace_iteration_at_large_scale(self, rng, caplog):
+        # entries near 1e90 put the Gram matrix near 1e185: its residual
+        # must not overflow, so the scaled request converges in as many
+        # iterations as the unscaled one, to the same factors
+        a = rng.standard_normal((400, 240))
+        a += 200.0 * random_orthonormal(rng, 400, 3) @ random_orthonormal(rng, 240, 3).T
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            fac = truncated_svd(a, 3)
+            big = truncated_svd(a * 2.0**300, 3)
+        lines = [r.getMessage() for r in caplog.records if "event=gram_eig" in r.getMessage()]
+        assert len(lines) == 2 and lines[0] == lines[1] and "route=subspace" in lines[0]
+        np.testing.assert_allclose(big.singvals, fac.singvals * 2.0**300, rtol=1e-12)
+        np.testing.assert_allclose(big.right, fac.right, rtol=0, atol=1e-10)
+
+    def test_flat_spectrum_takes_full_eigh(self, rng, monkeypatch, caplog):
+        # pure noise has no gap after rank 30, so subspace iteration would
+        # need more products than a full eigendecomposition costs
+        a = rng.standard_normal((500, 2000))
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            fac = truncated_svd(a, 30)
+        assert "event=gram_eig k=500 r=30 route=full reason=slow_gap" in caplog.text
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_subspace_eigh", lambda g, r: (None, "forced"))
+            assert_same_factors(fac, truncated_svd(a, 30))
+
+    def test_byte_identical_across_thread_counts(self, rng, caplog):
+        # gapped inputs, so every request runs the seeded subspace iteration
+        inputs = [rng.standard_normal((400, 240))
+                  + 200.0 * random_orthonormal(rng, 400, 3) @ random_orthonormal(rng, 240, 3).T
+                  for _ in range(6)]
+
+        def run(threads):
+            return parallel_map(lambda i: truncated_svd(inputs[i], 3), len(inputs), threads)
+
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            serial, threaded = run(1), run(4)
+        assert caplog.text.count("route=subspace") == 12
+        for fac, other in zip(serial, threaded):
+            assert_same_factors(fac, other)
 
 
 class TestProcrustes:

@@ -8,6 +8,7 @@ from blast.errors import (
     DegenerateSignalError,
     DegenerateVarianceError,
     InfeasibleHyperparameterError,
+    NumericalError,
     ParameterError,
 )
 from blast.evalsim import SimScenario, generate
@@ -26,7 +27,7 @@ from blast.posterior import (
     run_blast,
     sample_draw,
 )
-from blast.spectral import LatentDims, estimate_factors
+from blast.spectral import LatentDims, MultiStudyDataset, estimate_factors
 
 from conftest import random_orthonormal
 
@@ -243,6 +244,28 @@ class TestInflation:
             np.testing.assert_allclose(impl_mean, sum(bs) / (p * (p - 1) / 2.0), rtol=1e-12)
             np.testing.assert_allclose(impl_max, max(bs), rtol=1e-12)
             assert impl_max >= max(bs) - 1e-12
+
+    def test_row_blocks_match_dense_all_pairs(self, rng):
+        # p = 1100 spans three 512-row blocks; the largest pair (600, 1090)
+        # lies right of the diagonal square of its block
+        p = 1100
+        mu_l = rng.standard_normal((p, 3))
+        mu_g = rng.standard_normal((p, 2))
+        mu_g[[600, 1090]] = 8.0 * mu_g[600]
+        v = rng.uniform(0.5, 2.0, size=p)
+        ng, nl = np.sum(mu_g**2, axis=1), np.sum(mu_l**2, axis=1)
+        gg, gl = mu_g @ mu_g.T, mu_l @ mu_l.T
+        num = (np.outer(ng, ng) + gg**2 + np.outer(ng, nl) + np.outer(nl, ng)
+               + 2.0 * gg * gl)
+        den = np.outer(v, ng) + np.outer(ng, v)
+        b = np.sqrt(1.0 + num / den)
+        np.fill_diagonal(b, np.sqrt(1.0 + (ng + 2.0 * nl) / (2.0 * v)))
+        upper = b[np.triu_indices(p)]
+        assert np.unravel_index(np.argmax(b), b.shape) in [(600, 1090), (1090, 600)]
+        np.testing.assert_allclose(inflation_gamma(mu_g, mu_l, v, strategy="mean"),
+                                   np.sum(upper) / (p * (p - 1) / 2.0), rtol=1e-12)
+        np.testing.assert_allclose(inflation_gamma(mu_g, mu_l, v, strategy="max"),
+                                   np.max(upper), rtol=1e-12)
 
     def test_fixed_strategy(self, rng):
         mu = rng.standard_normal((4, 2))
@@ -474,6 +497,16 @@ class TestRunBlast:
         result = run_blast(ds, BlastConfig(dims=dims, n_mc=0, seed=1))
         assert result.draws == ()
         assert result.report["n_mc"] == 0
+
+    @pytest.mark.parametrize("scale", [1e100, 2.0**332])
+    def test_overflowing_scale_raises(self, scale):
+        # the dims are found, but the inflation products overflow
+        ds, _ = generate(SimScenario(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4,
+                                     loading_sd=0.5, seed=101))
+        big = MultiStudyDataset(tuple(y * scale for y in ds.studies))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="rho_lambda is not finite"):
+                run_blast(big, BlastConfig(n_mc=5, seed=1))
 
     def test_structural_invariants_and_report(self):
         ds, truth = generate(SimScenario(n_studies=3, n_per_study=60, p=40, k0=2,
