@@ -9,6 +9,8 @@ prediction utilities work through the low-rank-plus-diagonal structure and
 never invert a dense p x p matrix.
 """
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,8 @@ from .errors import (
 from .numerics import RngStream, derive_stream, parallel_map, procrustes_rotation
 from .posterior import CovarianceModel
 from .spectral import MultiStudyDataset
+
+logger = logging.getLogger(__name__)
 
 _RANK_REGEN_ATTEMPTS = 10
 
@@ -217,16 +221,21 @@ def coverage_eval(draws, truth: SimTruth, level=0.95, submatrix=100,
     """Frequentist coverage of equal-tail credible intervals on a random
     outcome subset.
 
-    For every unordered pair (j, j') inside the subset, the interval of the
-    draw products lambda_j . lambda_j' (and per study gamma_sj . gamma_sj')
-    is checked against the true product.  Returns (coverage_shared,
-    coverage_specific) with one specific entry per study (nan when q_s = 0).
+    For every unordered pair (j, j') inside the subset, j = j' included, the
+    interval of the draw products lambda_j . lambda_j' (and per study
+    gamma_sj . gamma_sj') is checked against the true product.  Only that
+    upper triangle is computed: m(m+1)/2 x T doubles per component, for a
+    subset of m = `submatrix` outcomes and T draws.  Returns
+    (coverage_shared, coverage_specific) with one specific entry per study
+    (nan when q_s = 0).
     """
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
     if len(draws) < 50:
         raise ParameterError(f"need at least 50 draws, got {len(draws)}")
     p = truth.lambda0.shape[0]
+    if submatrix < 1:
+        raise ParameterError(f"submatrix must be at least 1, got {submatrix}")
     if submatrix > p:
         raise ParameterError(f"submatrix={submatrix} exceeds p={p}")
     if stream is None:
@@ -254,16 +263,30 @@ def coverage_eval(draws, truth: SimTruth, level=0.95, submatrix=100,
     return shared, tuple(specific)
 
 
+def _triangle_products(rows):
+    """Row inner products rows[t, i] . rows[t, j] for i <= j, as an
+    (m(m+1)/2, T) array in the pair order of np.triu_indices(m), with the
+    draw axis last and contiguous."""
+    t, m, k = rows.shape
+    at = rows.transpose(1, 2, 0).copy()  # (m, k, T)
+    out = np.zeros((m * (m + 1) // 2, t))
+    off = 0
+    for i in range(m):
+        block = out[off : off + m - i]
+        for c in range(k):
+            block += at[i, c] * at[i:, c]
+        off += m - i
+    return out
+
+
 def _pair_coverage(draw_rows, truth_rows, level):
-    # draw_rows: (T, m, k); products per draw: (T, m, m).  The truth products
-    # use the same reduction so degenerate draws cover their own value.
-    prods = np.einsum("tik,tjk->tij", draw_rows, draw_rows)
+    # draw_rows: (T, m, k).  The truth products go through the same helper,
+    # in the same summation order, so degenerate draws cover their own value.
+    prods = _triangle_products(draw_rows)
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(prods, [alpha, 1.0 - alpha], axis=0)
-    target = np.einsum("ik,jk->ij", truth_rows, truth_rows)
-    covered = (target >= lo) & (target <= hi)
-    iu = np.triu_indices(covered.shape[0])
-    return float(np.mean(covered[iu]))
+    lo, hi = np.quantile(prods, [alpha, 1.0 - alpha], axis=-1, overwrite_input=True)
+    target = _triangle_products(truth_rows[None])[:, 0]
+    return float(np.mean((target >= lo) & (target <= hi)))
 
 
 def _woodbury_pieces(w, diag):
@@ -475,9 +498,11 @@ def evaluate_fit(result, truth: SimTruth, level=0.95, submatrix=100,
     cov_shared = cov_specific = None
     if len(result.draws) >= 50:
         sub = min(submatrix, truth.lambda0.shape[0])
+        t0 = time.perf_counter()
         cov_shared, cov_specific = coverage_eval(
             result.draws, truth, level=level, submatrix=sub, stream=coverage_stream
         )
+        logger.debug("event=stage_done stage=coverage seconds=%.6f", time.perf_counter() - t0)
         cov_specific = list(cov_specific)
     return MetricsReport(
         rel_error_shared=rel_shared,

@@ -309,8 +309,10 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None) -> 
         # i and j select the pair rows and columns and broadcast together;
         # dot(x) gives the matching inner products of the rows of x.
         gg, gl = dot(mu_gamma_s), dot(mu_lambda)
-        num = ng[i] * ng[j] + gg**2 + ng[i] * nl[j] + nl[i] * ng[j] + 2.0 * gg * gl
-        den = v_j[i] * ng[j] + ng[i] * v_j[j]
+        # data of extreme scale overflow here; _require_finite reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = ng[i] * ng[j] + gg**2 + ng[i] * nl[j] + nl[i] * ng[j] + 2.0 * gg * gl
+            den = v_j[i] * ng[j] + ng[i] * v_j[j]
         return num, den
 
     rank = max(mu_gamma_s.shape[1] + mu_lambda.shape[1], 1)
@@ -520,13 +522,13 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
         )
         dims = require_dims(rank_report, config.tau)
         jic_traces = rank_report.traces
-    timings["rank_selection_s"] = time.perf_counter() - t0
+    _stage_done(timings, "rank_selection", t0)
 
     t0 = time.perf_counter()
     fe = estimate_factors(
         dataset, dims, weighting=config.projection_weighting, threads=config.threads
     )
-    timings["factor_estimation_s"] = time.perf_counter() - t0
+    _stage_done(timings, "factor_estimation", t0)
 
     t0 = time.perf_counter()
     hp = estimate_hyperparams(dataset, fe, dims, nu0=config.nu0,
@@ -550,11 +552,11 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
         gamma_inflation_source=config.gamma_inflation_source,
     )
     _require_finite(spec)
-    timings["posterior_fit_s"] = time.perf_counter() - t0
+    _stage_done(timings, "posterior_fit", t0)
 
     t0 = time.perf_counter()
     draws = _sample_all(spec, config)
-    timings["sampling_s"] = time.perf_counter() - t0
+    _stage_done(timings, "sampling", t0)
 
     report = {
         "dims": {"k0": dims.k0, "k_s": list(dims.k_s), "q_s": list(dims.q_s)},
@@ -575,6 +577,12 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
         report["jic"] = [t.to_dict() for t in jic_traces]
     return BlastResult(factors=fe, dims=dims, hyperparams=hp, spec=spec,
                        draws=tuple(draws), report=report)
+
+
+def _stage_done(timings, stage, t0):
+    seconds = time.perf_counter() - t0
+    timings[f"{stage}_s"] = seconds
+    logger.debug("event=stage_done stage=%s seconds=%.6f", stage, seconds)
 
 
 def _require_finite(spec):

@@ -344,6 +344,7 @@ class TestExitCodes:
         assert proc.returncode == 4, proc.stderr
         assert "rho_lambda is not finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize("case,code", [
         ("missing_fit_dir", 3),

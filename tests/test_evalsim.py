@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from blast import evalsim
 from blast.errors import (
     InvalidCovarianceError,
     ParameterError,
@@ -11,6 +14,7 @@ from blast.evalsim import (
     SimTruth,
     conditional_predict,
     coverage_eval,
+    evaluate_fit,
     gaussian_loglik,
     generate,
     prediction_nmse,
@@ -19,7 +23,7 @@ from blast.evalsim import (
     rel_fro_error,
 )
 from blast.numerics import derive_stream
-from blast.posterior import CovarianceModel, PosteriorDraw
+from blast.posterior import BlastConfig, CovarianceModel, PosteriorDraw, run_blast
 
 from conftest import random_orthonormal
 
@@ -179,6 +183,20 @@ class TestCoverageEval:
         assert cov_l == 1.0
         assert cov_g[0] == 1.0
 
+    def test_degenerate_intervals_cover_truth_with_zero_entries(self, rng):
+        p, k0 = 30, 5
+        lam = rng.standard_normal((p, k0))
+        lam[rng.random((p, k0)) < 0.5] = 0.0
+        lam[3] = 0.0
+        truth = SimTruth(lambda0=lam, gamma0_s=(-lam,), sigma0_sq=np.ones(p),
+                         m0_s=(), f0_s=())
+        draws = make_draws_from_rows(np.repeat(lam[None], 60, axis=0),
+                                     np.repeat(-lam[None], 60, axis=0))
+        cov_l, cov_g = coverage_eval(draws, truth, level=0.95, submatrix=30,
+                                     stream=derive_stream(1, ("c",)))
+        assert cov_l == 1.0
+        assert cov_g[0] == 1.0
+
     def test_calibrated_sampler_oracle(self, rng):
         # truth and draws i.i.d. from one law: rank-exchangeability makes the
         # equal-tail interval cover at its nominal level
@@ -204,6 +222,9 @@ class TestCoverageEval:
             coverage_eval(draws[:10], truth, level=0.95, submatrix=5)
         with pytest.raises(ParameterError):
             coverage_eval(draws, truth, level=0.95, submatrix=p + 1)
+        for bad in (0, -3):
+            with pytest.raises(ParameterError, match="submatrix"):
+                coverage_eval(draws, truth, level=0.95, submatrix=bad)
 
     def test_q_zero_returns_nan(self, rng):
         p = 12
@@ -216,6 +237,67 @@ class TestCoverageEval:
         _, cov_g = coverage_eval(draws, truth, submatrix=10,
                                  stream=derive_stream(3, ("c",)))
         assert np.isnan(cov_g[0])
+
+
+def einsum_pair_coverage(draw_rows, truth_rows, level):
+    """Reference: all (T, m, m) products, quantiles over the draw axis, then
+    the upper triangle of the covered mask."""
+    prods = np.einsum("tik,tjk->tij", draw_rows, draw_rows)
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(prods, [alpha, 1.0 - alpha], axis=0)
+    target = np.einsum("ik,jk->ij", truth_rows, truth_rows)
+    covered = (target >= lo) & (target <= hi)
+    iu = np.triu_indices(covered.shape[0])
+    return float(np.mean(covered[iu]))
+
+
+@pytest.fixture(scope="module")
+def desk_fit():
+    ds, truth = generate(SimScenario(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4,
+                                     loading_sd=0.5, seed=101))
+    return run_blast(ds, BlastConfig(n_mc=501, seed=101)), truth
+
+
+class TestTriangleCoverage:
+    @pytest.mark.parametrize("source", ["random", "desk_fit"])
+    @pytest.mark.parametrize("t", [50, 501])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 2, 37, 100])
+    def test_matches_einsum_oracle(self, request, source, t, k, m):
+        if source == "random":
+            g = np.random.default_rng(1000 * m + 10 * k + t)
+            truth_rows = g.standard_normal((m, k))
+            draw_rows = g.standard_normal((t, m, k))
+        else:
+            result, truth = request.getfixturevalue("desk_fit")
+            idx = np.sort(np.random.default_rng(m).permutation(truth.lambda0.shape[0])[:m])
+            truth_rows = truth.lambda0[idx, :k]
+            draw_rows = np.stack([d.lambda_tilde[idx, :k] for d in result.draws[:t]])
+        want = einsum_pair_coverage(draw_rows, truth_rows, 0.9)
+        assert evalsim._pair_coverage(draw_rows, truth_rows, 0.9) == want
+
+    def test_coverage_eval_matches_einsum_oracle_on_a_fit(self, desk_fit, monkeypatch):
+        result, truth = desk_fit
+        stream = derive_stream(101, ("coverage",))
+        got = coverage_eval(result.draws, truth, stream=stream)
+        monkeypatch.setattr(evalsim, "_pair_coverage", einsum_pair_coverage)
+        assert coverage_eval(result.draws, truth, stream=stream) == got
+
+    def test_pair_order_is_triu_indices(self):
+        primes = np.array([2.0, 3.0, 5.0, 7.0, 11.0])  # distinct pairwise products
+        rows = np.stack([primes, 10.0 * primes])[:, :, None]  # T=2, m=5, k=1
+        prods = evalsim._triangle_products(rows)
+        i, j = np.triu_indices(5)
+        assert prods.shape == (15, 2) and prods.flags.c_contiguous
+        np.testing.assert_array_equal(prods, (rows[:, i, 0] * rows[:, j, 0]).T)
+        np.testing.assert_array_equal(evalsim._triangle_products(rows[:, :, :0]), 0.0)
+
+    def test_products_match_einsum(self):
+        rows = np.random.default_rng(7).standard_normal((9, 37, 5))
+        i, j = np.triu_indices(37)
+        ref = np.einsum("tik,tjk->tij", rows, rows)[:, i, j].T
+        scale = np.einsum("tik,tjk->tij", np.abs(rows), np.abs(rows))[:, i, j].T
+        assert np.all(np.abs(evalsim._triangle_products(rows) - ref) <= 1e-14 * scale)
 
 
 class TestConditionalPredict:
@@ -383,3 +465,23 @@ class TestPredictiveIntervals:
         y = self.sample_from(strong, 200, seed=6)
         nmse, _ = prediction_nmse(strong, y)
         assert np.max(nmse) < 1e-4
+
+
+def test_stage_timings_are_logged(caplog):
+    ds, truth = generate(SimScenario(n_studies=2, n_per_study=150, p=60, k0=2, q_s=2,
+                                     seed=17))
+    with caplog.at_level(logging.DEBUG, logger="blast"):
+        result = run_blast(ds, BlastConfig(n_mc=50, seed=17))
+        evaluate_fit(result, truth, submatrix=20)
+    logged = {}
+    for rec in caplog.records:
+        if rec.getMessage().startswith("event=stage_done "):
+            assert rec.levelno == logging.DEBUG
+            fields = dict(f.split("=", 1) for f in rec.getMessage().split())
+            logged[fields["stage"]] = float(fields["seconds"])
+    timings = result.report["timings"]
+    assert list(logged) == ["rank_selection", "factor_estimation", "posterior_fit",
+                            "sampling", "coverage"]
+    for stage in ("rank_selection", "factor_estimation", "posterior_fit", "sampling"):
+        assert logged[stage] == pytest.approx(timings[f"{stage}_s"], abs=1e-6)
+    assert logged["coverage"] >= 0.0

@@ -498,15 +498,16 @@ class TestRunBlast:
         assert result.draws == ()
         assert result.report["n_mc"] == 0
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e100, 2.0**332])
     def test_overflowing_scale_raises(self, scale):
-        # the dims are found, but the inflation products overflow
+        # the dims are found, but the inflation products overflow; the
+        # overflow reaches the caller as NumericalError, never as a warning
         ds, _ = generate(SimScenario(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4,
                                      loading_sd=0.5, seed=101))
         big = MultiStudyDataset(tuple(y * scale for y in ds.studies))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="rho_lambda is not finite"):
-                run_blast(big, BlastConfig(n_mc=5, seed=1))
+        with pytest.raises(NumericalError, match="rho_lambda is not finite"):
+            run_blast(big, BlastConfig(n_mc=5, seed=1))
 
     def test_structural_invariants_and_report(self):
         ds, truth = generate(SimScenario(n_studies=3, n_per_study=60, p=40, k0=2,
