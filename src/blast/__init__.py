@@ -37,6 +37,7 @@ from .posterior import (
     BlastConfig,
     BlastResult,
     CovarianceModel,
+    DrawSet,
     Hyperparams,
     PosteriorDraw,
     PosteriorSpec,

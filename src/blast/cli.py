@@ -92,7 +92,6 @@ class RunConfig:
     projection_weighting: str = "uniform"
     center_columns: bool = False
     # output / evaluation
-    draw_format: str = "binary"
     level: float = 0.95
     submatrix: int = 100
     out: str | None = None
@@ -148,8 +147,9 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # strict JSON has no nan or infinity
+        return float(obj) if np.isfinite(obj) else None
     return obj
 
 
@@ -240,24 +240,16 @@ def cmd_simulate(args) -> int:
 def _write_metrics_csv(path, reports):
     import csv
 
-    cols = [
-        "replicate", "rel_error_shared", "rel_error_specific_mean",
-        "procrustes_shared_mean", "procrustes_specific_mean",
-        "coverage_shared", "coverage_specific_mean",
-    ]
+    per_study = ("rel_error_specific", "procrustes_shared", "procrustes_specific")
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
+        writer.writerow(["replicate", "rel_error_shared", *(f"{m}_mean" for m in per_study),
+                         "coverage_shared", "coverage_specific_mean"])
         for r, rep in enumerate(reports):
-            writer.writerow([
-                r,
-                rep.rel_error_shared,
-                float(np.mean(rep.rel_error_specific)),
-                float(np.mean(rep.procrustes_shared)),
-                float(np.mean(rep.procrustes_specific)),
-                "" if rep.coverage_shared is None else rep.coverage_shared,
-                "" if rep.coverage_specific is None else float(np.nanmean(rep.coverage_specific)),
-            ])
+            coverage = ("", "") if rep.coverage_shared is None else (
+                rep.coverage_shared, rep.study_mean("coverage_specific"))
+            writer.writerow([r, rep.rel_error_shared,
+                             *(rep.study_mean(m) for m in per_study), *coverage])
 
 
 def cmd_ranks(args) -> int:
@@ -291,12 +283,8 @@ def cmd_fit(args) -> int:
     draws_file = None
     t_io = time.perf_counter()
     if result.draws:
-        if cfg.draw_format == "binary":
-            draws_file = "draws.bin"
-            io.write_draws(out / draws_file, result.draws, out / "draws_manifest.json")
-        else:
-            draws_file = "draws_csv"
-            io.write_draws_csv(out / draws_file, result.draws)
+        draws_file = "draws.bin"
+        io.write_draws(out / draws_file, result.draws, out / "draws_manifest.json")
     report = dict(result.report)
     # wall-clock goes to its own file so reruns rewrite fit_report.json
     # byte-identically
@@ -307,7 +295,6 @@ def cmd_fit(args) -> int:
     report["threads"] = cfg.threads
     report["config"] = _jsonable(cfg.to_dict())
     report["draws_file"] = draws_file
-    report["draws_format"] = cfg.draw_format if draws_file else None
     io.write_json(out / "fit_report.json", _jsonable(report), schema="fit_report")
     print(
         f"k0={result.dims.k0} k_s={list(result.dims.k_s)} "

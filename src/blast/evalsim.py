@@ -11,7 +11,7 @@ never invert a dense p x p matrix.
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -25,7 +25,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .numerics import RngStream, derive_stream, parallel_map, procrustes_rotation
-from .posterior import CovarianceModel
+from .posterior import CovarianceModel, DrawSet
 from .spectral import MultiStudyDataset
 
 logger = logging.getLogger(__name__)
@@ -216,7 +216,7 @@ def procrustes_error(estimate, truth) -> float:
     return float(np.linalg.norm(estimate @ rot - truth) / np.sqrt(n * r))
 
 
-def coverage_eval(draws, truth: SimTruth, level=0.95, submatrix=100,
+def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
                   stream: RngStream | None = None):
     """Frequentist coverage of equal-tail credible intervals on a random
     outcome subset.
@@ -243,23 +243,13 @@ def coverage_eval(draws, truth: SimTruth, level=0.95, submatrix=100,
     rng = stream.generator()
     idx = np.sort(rng.permutation(p)[:submatrix])
 
-    shared = _pair_coverage(
-        np.stack([d.lambda_tilde[idx] for d in draws]),
-        truth.lambda0[idx],
-        level,
-    )
+    shared = _pair_coverage(draws.lambda_tilde[:, idx], truth.lambda0[idx], level)
     specific = []
     for s, gamma0 in enumerate(truth.gamma0_s):
         if gamma0.shape[1] == 0:
             specific.append(float("nan"))
             continue
-        specific.append(
-            _pair_coverage(
-                np.stack([d.gamma_tilde_s[s][idx] for d in draws]),
-                gamma0[idx],
-                level,
-            )
-        )
+        specific.append(_pair_coverage(draws.gamma_tilde_s[s][:, idx], gamma0[idx], level))
     return shared, tuple(specific)
 
 
@@ -443,7 +433,9 @@ def prediction_nmse(cov: CovarianceModel, y_test, observed_idx=None):
 @dataclass
 class MetricsReport:
     """Per-fit evaluation metrics; the coverage fields are set only when the
-    run produced enough draws."""
+    run produced enough draws.  A per-study entry is nan where the metric is
+    undefined: a selected rank that differs from the truth's (procrustes), a
+    study whose true q_s is 0 (rel_error_specific, coverage_specific)."""
 
     rel_error_shared: float
     rel_error_specific: list
@@ -453,16 +445,14 @@ class MetricsReport:
     coverage_specific: list | None = None
 
     def to_dict(self):
-        out = {
-            "rel_error_shared": self.rel_error_shared,
-            "rel_error_specific": list(self.rel_error_specific),
-            "procrustes_shared": list(self.procrustes_shared),
-            "procrustes_specific": list(self.procrustes_specific),
-        }
-        if self.coverage_shared is not None:
-            out["coverage_shared"] = self.coverage_shared
-            out["coverage_specific"] = list(self.coverage_specific)
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
+
+    def study_mean(self, name):
+        """Mean over studies of the per-study metric `name`, skipping nan
+        entries; nan when no study has a value."""
+        vals = np.asarray(getattr(self, name) or [], dtype=np.float64)
+        vals = vals[~np.isnan(vals)]
+        return float(vals.mean()) if vals.size else float("nan")
 
 
 def evaluate_fit(result, truth: SimTruth, level=0.95, submatrix=100,
@@ -471,29 +461,23 @@ def evaluate_fit(result, truth: SimTruth, level=0.95, submatrix=100,
     from .posterior import point_estimates
 
     shared_model, specific_models = point_estimates(result.spec, result.dims)
-    truth_shared = CovarianceModel(
-        lambda_hat=truth.lambda0,
-        gamma_hat=np.zeros((truth.lambda0.shape[0], 0)),
-        diag_add=np.zeros(truth.lambda0.shape[0]),
-    )
-    rel_shared = rel_fro_error(shared_model, truth_shared)
-    rel_specific = []
-    for s, model in enumerate(specific_models):
-        truth_s = CovarianceModel(
-            lambda_hat=np.zeros((truth.lambda0.shape[0], 0)),
-            gamma_hat=truth.gamma0_s[s],
-            diag_add=np.zeros(truth.lambda0.shape[0]),
-        )
-        rel_specific.append(rel_fro_error(model, truth_s))
+    p = truth.lambda0.shape[0]
+    no_factors, zero = np.zeros((p, 0)), np.zeros(p)
+    rel_shared = rel_fro_error(shared_model, CovarianceModel(truth.lambda0, no_factors, zero))
+    # an undefined entry is nan, so the replicate is still scored: a study
+    # without a true specific part here, a misselected rank for procrustes
+    rel_specific = [
+        rel_fro_error(model, CovarianceModel(no_factors, gamma0, zero))
+        if gamma0.shape[1] else float("nan")
+        for model, gamma0 in zip(specific_models, truth.gamma0_s)
+    ]
 
-    pro_shared = [
-        procrustes_error(m_hat_s, m0)
-        for m_hat_s, m0 in zip(result.factors.m_hat_s, truth.m0_s)
-    ]
-    pro_specific = [
-        procrustes_error(f_hat, f0)
-        for f_hat, f0 in zip(result.factors.f_hat_s, truth.f0_s)
-    ]
+    def aligned_errors(estimates, truths):
+        return [procrustes_error(e, t) if e.shape == t.shape else float("nan")
+                for e, t in zip(estimates, truths)]
+
+    pro_shared = aligned_errors(result.factors.m_hat_s, truth.m0_s)
+    pro_specific = aligned_errors(result.factors.f_hat_s, truth.f0_s)
 
     cov_shared = cov_specific = None
     if len(result.draws) >= 50:
@@ -549,7 +533,8 @@ def run_replicates(scenario: SimScenario, config, replicates, seed=None,
 def summarize_replicates(reports):
     """Mean and standard error of each scalar metric over replicates.
 
-    Per-study metrics are averaged within each replicate first.
+    Per-study metrics are averaged within each replicate first (nan entries
+    skipped); replicates with no value are left out.
     """
     def collect(get):
         vals = np.array([get(r) for r in reports], dtype=np.float64)
@@ -561,15 +546,11 @@ def summarize_replicates(reports):
 
     summary = {
         "rel_error_shared": collect(lambda r: r.rel_error_shared),
-        "rel_error_specific": collect(lambda r: np.mean(r.rel_error_specific)),
-        "procrustes_shared": collect(lambda r: np.mean(r.procrustes_shared)),
-        "procrustes_specific": collect(lambda r: np.mean(r.procrustes_specific)),
+        "rel_error_specific": collect(lambda r: r.study_mean("rel_error_specific")),
+        "procrustes_shared": collect(lambda r: r.study_mean("procrustes_shared")),
+        "procrustes_specific": collect(lambda r: r.study_mean("procrustes_specific")),
     }
     if any(r.coverage_shared is not None for r in reports):
-        summary["coverage_shared"] = collect(
-            lambda r: np.nan if r.coverage_shared is None else r.coverage_shared
-        )
-        summary["coverage_specific"] = collect(
-            lambda r: np.nan if r.coverage_specific is None else np.nanmean(r.coverage_specific)
-        )
+        summary["coverage_shared"] = collect(lambda r: r.coverage_shared)  # None -> nan
+        summary["coverage_specific"] = collect(lambda r: r.study_mean("coverage_specific"))
     return summary

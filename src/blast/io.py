@@ -2,15 +2,18 @@
 
 Datasets are one CSV per study (`study_<s>.csv`, 1-based), first row the
 outcome names, one sample per subsequent row; all studies must share the
-header exactly.  Posterior draws go to a packed little-endian binary
-(magic "BLASTDRW") with a JSON manifest, or to one CSV per component per
-draw on request.  Every JSON artifact validates against a shipped schema.
+header exactly.  Posterior draws go to one packed little-endian binary
+(magic "BLASTDRW", version 2) with a JSON manifest: one block per draw
+component, each with the draw axis first.  Every JSON artifact validates
+against a shipped schema.
 """
 
 import contextlib
 import csv
 import importlib.resources
 import json
+import math
+import os
 import re
 import struct
 import zipfile
@@ -18,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError
-from .posterior import PosteriorDraw
+from .errors import DataError, DimensionError, ParseError
+from .posterior import DrawSet
 from .spectral import MultiStudyDataset
 
 DRAWS_MAGIC = b"BLASTDRW"
-DRAWS_VERSION = 1
+DRAWS_VERSION = 2
 
 _STUDY_RE = re.compile(r"^study_(\d+)\.csv$")
 
@@ -136,94 +139,76 @@ def write_truth(path, truth):
 
 def _write_block(fh, arr):
     arr = np.ascontiguousarray(arr, dtype="<f8")
-    fh.write(struct.pack("<B", arr.ndim))
-    for d in arr.shape:
-        fh.write(struct.pack("<Q", d))
-    fh.write(arr.tobytes())
+    fh.write(struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape))
+    fh.write(arr.data)
 
 
-def _read_block(fh):
-    ndim = struct.unpack("<B", fh.read(1))[0]
-    shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
-    return data.reshape(shape)
+def _take(fh, n, size, what):
+    """The next n bytes of fh; ParseError if the file of `size` bytes ends first."""
+    if n > size - fh.tell():
+        raise ParseError(f"{fh.name}: {what} runs past the end of the file")
+    return fh.read(n)
 
 
-def write_draws(path, draws, manifest_path=None):
-    """Packed draw binary: magic, version u32, then per draw the shared
-    loadings, each study's specific loadings, and the residual variances,
-    each as a shape-prefixed block of little-endian f64."""
+def _read_block(fh, size, i):
+    ndim = _take(fh, 1, size, f"block {i}")[0]
+    shape = struct.unpack(f"<{ndim}Q", _take(fh, 8 * ndim, size, f"block {i}"))
+    data = _take(fh, 8 * math.prod(shape), size, f"block {i} of shape {shape}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
+
+
+def write_draws(path, draws: DrawSet, manifest_path=None):
+    """Packed draw binary: magic, version u32, block count u64, then one
+    shape-prefixed block of little-endian f64 per component, each with the
+    draw axis first: the shared loadings (T x p x k0), each study's specific
+    loadings (T x p x q_s), and the residual variances (T x p)."""
     path = Path(path)
-    n_studies = len(draws[0].gamma_tilde_s) if draws else 0
-    blocks_per_draw = 2 + n_studies
+    blocks = (draws.lambda_tilde, *draws.gamma_tilde_s, draws.sigma_tilde_sq)
     with path.open("wb") as fh:
         fh.write(DRAWS_MAGIC)
-        fh.write(struct.pack("<I", DRAWS_VERSION))
-        fh.write(struct.pack("<Q", len(draws) * blocks_per_draw))
-        for d in draws:
-            _write_block(fh, d.lambda_tilde)
-            for g in d.gamma_tilde_s:
-                _write_block(fh, g)
-            _write_block(fh, d.sigma_tilde_sq)
-    if manifest_path is not None and draws:
+        fh.write(struct.pack("<IQ", DRAWS_VERSION, len(blocks)))
+        for block in blocks:
+            _write_block(fh, block)
+    if manifest_path is not None:
+        n_mc, p, k0 = draws.lambda_tilde.shape
         manifest = {
             "magic": DRAWS_MAGIC.decode(),
             "version": DRAWS_VERSION,
-            "n_mc": len(draws),
-            "p": int(draws[0].lambda_tilde.shape[0]),
-            "k0": int(draws[0].lambda_tilde.shape[1]),
-            "q_s": [int(g.shape[1]) for g in draws[0].gamma_tilde_s],
+            "n_mc": n_mc,
+            "p": p,
+            "k0": k0,
+            "q_s": [g.shape[2] for g in draws.gamma_tilde_s],
             "dtype": "float64",
             "endianness": "little",
-            "block_order": ["lambda"]
-            + [f"gamma_{s+1}" for s in range(n_studies)]
-            + ["sigma_sq"],
-            "block_layout": "u8 ndim, ndim x u64 dims, row-major f64 data",
+            "block_order": ["lambda", *(f"gamma_{s}" for s in range(1, len(blocks) - 1)),
+                            "sigma_sq"],
+            "block_layout": "u8 ndim, ndim x u64 dims (draw index first), row-major f64 data",
         }
         write_json(manifest_path, manifest, schema="draws_manifest")
 
 
-def read_draws(path):
+def read_draws(path) -> DrawSet:
+    """The DrawSet of a `write_draws` file.  A missing file raises DataError;
+    a truncated, inconsistent or version-1 file raises ParseError."""
     path = Path(path)
-    with path.open("rb") as fh:
-        magic = fh.read(8)
+    with _open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic = _take(fh, 8, size, "header")
         if magic != DRAWS_MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}")
-        version = struct.unpack("<I", fh.read(4))[0]
+        version, n_blocks = struct.unpack("<IQ", _take(fh, 12, size, "header"))
         if version != DRAWS_VERSION:
-            raise ParseError(f"{path}: unsupported version {version}")
-        n_blocks = struct.unpack("<Q", fh.read(8))[0]
-        blocks = [_read_block(fh) for _ in range(n_blocks)]
-    if not blocks:
-        return []
-    # per draw: lambda, gamma_1..gamma_S, sigma
-    # infer S from the repeating pattern: sigma blocks are 1-d
-    per_draw = next(i for i, b in enumerate(blocks) if b.ndim == 1) + 1
-    if n_blocks % per_draw:
-        raise ParseError(f"{path}: block count {n_blocks} not a multiple of {per_draw}")
-    draws = []
-    for off in range(0, n_blocks, per_draw):
-        chunk = blocks[off : off + per_draw]
-        draws.append(
-            PosteriorDraw(
-                lambda_tilde=chunk[0],
-                gamma_tilde_s=tuple(chunk[1:-1]),
-                sigma_tilde_sq=chunk[-1],
-            )
-        )
-    return draws
-
-
-def write_draws_csv(out_dir, draws):
-    """One CSV per component per draw (verbose; for small runs)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for t, d in enumerate(draws, start=1):
-        np.savetxt(out_dir / f"draw_{t:05d}_lambda.csv", d.lambda_tilde, delimiter=",")
-        for s, g in enumerate(d.gamma_tilde_s, start=1):
-            np.savetxt(out_dir / f"draw_{t:05d}_gamma_{s}.csv", g, delimiter=",")
-        np.savetxt(out_dir / f"draw_{t:05d}_sigma_sq.csv", d.sigma_tilde_sq, delimiter=",")
+            raise ParseError(f"{path}: unsupported draws version {version} "
+                             f"(this release reads version {DRAWS_VERSION}; refit)")
+        if n_blocks < 2:
+            raise ParseError(f"{path}: {n_blocks} blocks, need at least 2")
+        blocks = [_read_block(fh, size, i) for i in range(n_blocks)]
+    # blocks: lambda, gamma_1..gamma_S, sigma_sq, so S = n_blocks - 2
+    try:
+        return DrawSet(lambda_tilde=blocks[0], gamma_tilde_s=tuple(blocks[1:-1]),
+                       sigma_tilde_sq=blocks[-1])
+    except DimensionError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _load_schema(name):

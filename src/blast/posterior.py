@@ -11,6 +11,7 @@ by (seed, "draw", t), so output never depends on the parallel schedule.
 """
 
 import logging
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -93,6 +94,35 @@ class PosteriorDraw:
     lambda_tilde: np.ndarray
     gamma_tilde_s: tuple
     sigma_tilde_sq: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class DrawSet:
+    """T posterior draws as arrays with the draw axis first: shared loadings
+    T x p x k0, one T x p x q_s array per study, residual variances T x p.
+    `draws[t]` is draw t, as a PosteriorDraw of views into these arrays."""
+
+    lambda_tilde: np.ndarray
+    gamma_tilde_s: tuple
+    sigma_tilde_sq: np.ndarray
+
+    def __post_init__(self):
+        t_p = self.sigma_tilde_sq.shape
+        loadings = [a.shape for a in (self.lambda_tilde, *self.gamma_tilde_s)]
+        if len(t_p) != 2 or any(len(s) != 3 or s[:2] != t_p for s in loadings):
+            raise DimensionError("draw arrays must be T x p x k0, T x p x q_s and T x p, "
+                                 f"got {loadings + [t_p]}")
+
+    def __len__(self):
+        return self.sigma_tilde_sq.shape[0]
+
+    def __getitem__(self, t):
+        t = operator.index(t)
+        return PosteriorDraw(
+            lambda_tilde=self.lambda_tilde[t],
+            gamma_tilde_s=tuple(g[t] for g in self.gamma_tilde_s),
+            sigma_tilde_sq=self.sigma_tilde_sq[t],
+        )
 
 
 @dataclass(frozen=True)
@@ -494,7 +524,7 @@ class BlastResult:
     dims: LatentDims
     hyperparams: Hyperparams
     spec: PosteriorSpec
-    draws: tuple
+    draws: DrawSet
     report: dict
 
 
@@ -576,7 +606,7 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
     if jic_traces is not None:
         report["jic"] = [t.to_dict() for t in jic_traces]
     return BlastResult(factors=fe, dims=dims, hyperparams=hp, spec=spec,
-                       draws=tuple(draws), report=report)
+                       draws=draws, report=report)
 
 
 def _stage_done(timings, stage, t0):
@@ -606,6 +636,21 @@ def _require_finite(spec):
 
 
 def _sample_all(spec, config):
+    """All n_mc draws, each written into its row of arrays allocated once."""
+    n_mc, (p, k0) = config.n_mc, spec.mu_lambda.shape
+    draws = DrawSet(
+        lambda_tilde=np.empty((n_mc, p, k0)),
+        gamma_tilde_s=tuple(np.empty((n_mc, p, q)) for q in spec.q_s),
+        sigma_tilde_sq=np.empty((n_mc, p)),
+    )
     root = derive_stream(config.seed, ("draw",))
-    return parallel_map(lambda t: sample_draw(spec, root.child(t)), config.n_mc,
-                        config.threads)
+
+    def fill(t):
+        d = sample_draw(spec, root.child(t))
+        draws.lambda_tilde[t] = d.lambda_tilde
+        for out, g in zip(draws.gamma_tilde_s, d.gamma_tilde_s):
+            out[t] = g
+        draws.sigma_tilde_sq[t] = d.sigma_tilde_sq
+
+    parallel_map(fill, n_mc, config.threads)
+    return draws

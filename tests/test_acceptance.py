@@ -28,7 +28,7 @@ from blast.numerics import derive_stream
 from blast.posterior import (
     BlastConfig,
     CovarianceModel,
-    PosteriorDraw,
+    DrawSet,
     fit_lambda_posterior,
     mu_gamma,
     point_estimates,
@@ -297,11 +297,11 @@ def test_criterion_7_coverage_calibration():
     g = np.random.default_rng(4321)
     truth = SimTruth(lambda0=g.standard_normal((p, k0)), gamma0_s=(),
                      sigma0_sq=np.ones(p), m0_s=(), f0_s=())
-    draws = [
-        PosteriorDraw(lambda_tilde=g.standard_normal((p, k0)), gamma_tilde_s=(),
-                      sigma_tilde_sq=np.ones(p))
-        for _ in range(n_draws)
-    ]
+    draws = DrawSet(
+        lambda_tilde=np.stack([g.standard_normal((p, k0)) for _ in range(n_draws)]),
+        gamma_tilde_s=(),
+        sigma_tilde_sq=np.ones((n_draws, p)),
+    )
     cov, _ = coverage_eval(draws, truth, level=0.95, submatrix=100,
                            stream=derive_stream(1, ("acc7",)))
     elapsed = time.time() - t0

@@ -77,6 +77,24 @@ class TestSimulate:
         rows = (out / "metrics.csv").read_text().strip().splitlines()
         assert len(rows) == 4  # header + 3 replicates
 
+    def test_study_without_specific_part_writes_strict_json(self, tmp_path):
+        out = tmp_path / "q0"
+        proc = run_cli_child(CLI_SCRIPT, "simulate", "--n-studies", 2, "--n-per-study", 150,
+                             "--p", 60, "--k0", 2, "--q-s", "[0,2]", "--nmc", 60,
+                             "--seed", 5, "--fit", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        metrics = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+        io.validate_json(metrics, "metrics")
+        (replicate,) = metrics["replicates"]
+        assert replicate["rel_error_specific"][0] is None
+        assert replicate["coverage_specific"][0] is None
+        assert metrics["summary"]["rel_error_specific"]["mean"] > 0
+
 
 class TestRanks:
     def test_desk_dataset_dims(self, sim_dir, tmp_path):
@@ -135,13 +153,6 @@ class TestFit:
         assert draws[0].lambda_tilde.shape == (manifest["p"], manifest["k0"])
         assert [g.shape[1] for g in draws[0].gamma_tilde_s] == manifest["q_s"]
 
-    def test_csv_draw_format(self, sim_dir, tmp_path):
-        out = tmp_path / "csvd"
-        assert run_cli("fit", sim_dir, "--nmc", 2, "--seed", 2, "--out", out,
-                       "--draw-format", "csv") == 0
-        assert (out / "draws_csv" / "draw_00001_lambda.csv").exists()
-        assert (out / "draws_csv" / "draw_00002_sigma_sq.csv").exists()
-
     def test_fixed_dims_flags(self, sim_dir, tmp_path):
         out = tmp_path / "fixed"
         assert run_cli("fit", sim_dir, "--nmc", 0, "--k0", 5, "--k-s", "[9,9,9]",
@@ -174,6 +185,29 @@ class TestFit:
                            "--fit") == 0
             outs.append(io.read_json(out / "metrics.json", schema="metrics"))
         assert outs[0]["replicates"] == outs[1]["replicates"]
+
+
+class TestSchemaParity:
+    def test_run_config_fields_match_schema(self):
+        schema = io._load_schema("run_config")
+        assert set(schema["properties"]) == {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_fit_report_schema_properties_are_written(self, sim_dir, tmp_path):
+        # selected dims with draws, then fixed dims without: every property
+        # of the schema must appear in one of the two reports
+        written = set()
+        for name, flags in (("selected", ["--nmc", 5]),
+                            ("fixed", ["--nmc", 0, "--k0", 5, "--k-s", "[9,9,9]"])):
+            out = tmp_path / name
+            assert run_cli("fit", sim_dir, "--seed", 2, "--out", out, *flags) == 0
+            written |= set(io.read_json(out / "fit_report.json", schema="fit_report"))
+        assert written == set(io._load_schema("fit_report")["properties"])
+
+    def test_manifest_schema_properties_are_written(self, sim_dir, tmp_path):
+        out = tmp_path / "m"
+        assert run_cli("fit", sim_dir, "--nmc", 3, "--seed", 2, "--out", out) == 0
+        manifest = io.read_json(out / "draws_manifest.json", schema="draws_manifest")
+        assert set(manifest) == set(io._load_schema("draws_manifest")["properties"])
 
 
 class TestPredict:
@@ -245,7 +279,6 @@ FLAG_SAMPLES = {
     "gamma_inflation_source": (["--gamma-inflation-source", "rho_lambda"], "rho_lambda"),
     "projection_weighting": (["--projection-weighting", "by_n"], "by_n"),
     "center_columns": (["--center-columns"], True),
-    "draw_format": (["--draw-format", "csv"], "csv"),
     "level": (["--level", "0.9"], 0.9),
     "submatrix": (["--submatrix", "50"], 50),
     "out": (["--out", "results"], "results"),

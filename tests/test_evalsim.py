@@ -21,9 +21,12 @@ from blast.evalsim import (
     predictive_interval_coverage,
     procrustes_error,
     rel_fro_error,
+    run_replicates,
+    summarize_replicates,
 )
 from blast.numerics import derive_stream
-from blast.posterior import BlastConfig, CovarianceModel, PosteriorDraw, run_blast
+from blast.posterior import BlastConfig, CovarianceModel, DrawSet, run_blast
+from blast.spectral import LatentDims
 
 from conftest import random_orthonormal
 
@@ -162,12 +165,8 @@ class TestErrorMetrics:
 
 
 def make_draws_from_rows(lams, gammas=None):
-    draws = []
-    for t in range(lams.shape[0]):
-        g = () if gammas is None else (gammas[t],)
-        draws.append(PosteriorDraw(lambda_tilde=lams[t], gamma_tilde_s=g,
-                                   sigma_tilde_sq=np.ones(lams.shape[1])))
-    return draws
+    return DrawSet(lambda_tilde=lams, gamma_tilde_s=() if gammas is None else (gammas,),
+                   sigma_tilde_sq=np.ones(lams.shape[:2]))
 
 
 class TestCoverageEval:
@@ -219,7 +218,8 @@ class TestCoverageEval:
         with pytest.raises(ParameterError):
             coverage_eval(draws, truth, level=1.5, submatrix=5)
         with pytest.raises(ParameterError):
-            coverage_eval(draws[:10], truth, level=0.95, submatrix=5)
+            coverage_eval(make_draws_from_rows(draws.lambda_tilde[:10]), truth, level=0.95,
+                          submatrix=5)
         with pytest.raises(ParameterError):
             coverage_eval(draws, truth, level=0.95, submatrix=p + 1)
         for bad in (0, -3):
@@ -232,8 +232,8 @@ class TestCoverageEval:
         truth = SimTruth(lambda0=lam, gamma0_s=(np.zeros((p, 0)),),
                          sigma0_sq=np.ones(p), m0_s=(), f0_s=())
         lams = np.repeat(lam[None], 60, axis=0)
-        draws = [PosteriorDraw(lambda_tilde=lams[t], gamma_tilde_s=(np.zeros((p, 0)),),
-                               sigma_tilde_sq=np.ones(p)) for t in range(60)]
+        draws = DrawSet(lambda_tilde=lams, gamma_tilde_s=(np.zeros((60, p, 0)),),
+                        sigma_tilde_sq=np.ones((60, p)))
         _, cov_g = coverage_eval(draws, truth, submatrix=10,
                                  stream=derive_stream(3, ("c",)))
         assert np.isnan(cov_g[0])
@@ -272,7 +272,7 @@ class TestTriangleCoverage:
             result, truth = request.getfixturevalue("desk_fit")
             idx = np.sort(np.random.default_rng(m).permutation(truth.lambda0.shape[0])[:m])
             truth_rows = truth.lambda0[idx, :k]
-            draw_rows = np.stack([d.lambda_tilde[idx, :k] for d in result.draws[:t]])
+            draw_rows = result.draws.lambda_tilde[:t, idx, :k]
         want = einsum_pair_coverage(draw_rows, truth_rows, 0.9)
         assert evalsim._pair_coverage(draw_rows, truth_rows, 0.9) == want
 
@@ -485,3 +485,41 @@ def test_stage_timings_are_logged(caplog):
     for stage in ("rank_selection", "factor_estimation", "posterior_fit", "sampling"):
         assert logged[stage] == pytest.approx(timings[f"{stage}_s"], abs=1e-6)
     assert logged["coverage"] >= 0.0
+
+
+class TestEveryReplicateIsScored:
+    # rank selection saturates at k_max here: dims k0=26, q_s=(4, 4)
+    SATURATED = SimScenario(n_studies=2, n_per_study=60, p=40, k0=2, q_s=2, seed=17)
+
+    @pytest.mark.filterwarnings("error")
+    def test_misselected_rank_scores_nan(self):
+        ds, truth = generate(self.SATURATED)
+        result = run_blast(ds, BlastConfig(n_mc=50, seed=17))
+        assert result.dims.k0 != 2
+        report = evaluate_fit(result, truth, submatrix=20)
+        assert np.all(np.isnan(report.procrustes_shared))
+        assert np.all(np.isnan(report.procrustes_specific))
+        assert np.isfinite(report.rel_error_shared)
+        assert np.all(np.isfinite(report.rel_error_specific))
+        assert np.isnan(report.study_mean("procrustes_shared"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_run_replicates_scores_every_replicate(self):
+        reports = run_replicates(self.SATURATED, BlastConfig(n_mc=50), 2, submatrix=20)
+        assert len(reports) == 2
+        summary = summarize_replicates(reports)
+        assert summary["procrustes_shared"] is None
+        assert summary["procrustes_specific"] is None
+        assert np.isfinite(summary["rel_error_shared"]["mean"])
+        assert np.isfinite(summary["coverage_shared"]["mean"])
+
+    @pytest.mark.filterwarnings("error")
+    def test_study_without_specific_part_scores_nan(self):
+        ds, truth = generate(SimScenario(n_studies=2, n_per_study=50, p=30, k0=2,
+                                         q_s=(0, 2), loading_sd=1.0, seed=19))
+        dims = LatentDims(k0=2, k_s=(2, 4), q_s=(0, 2))
+        report = evaluate_fit(run_blast(ds, BlastConfig(dims=dims, n_mc=0, seed=2)), truth)
+        assert np.isnan(report.rel_error_specific[0])
+        assert np.isfinite(report.rel_error_specific[1])
+        assert report.study_mean("rel_error_specific") == report.rel_error_specific[1]
+        assert report.procrustes_specific[0] == 0.0

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from blast.errors import (
     DegenerateSignalError,
     DegenerateVarianceError,
+    DimensionError,
     InfeasibleHyperparameterError,
     NumericalError,
     ParameterError,
@@ -15,6 +17,7 @@ from blast.evalsim import SimScenario, generate
 from blast.numerics import derive_stream
 from blast.posterior import (
     BlastConfig,
+    DrawSet,
     Hyperparams,
     PosteriorSpec,
     estimate_hyperparams,
@@ -440,11 +443,10 @@ class TestSampleDraw:
         ds, dims, fe, hp = small_fit(seed=6)
         short = run_blast(ds, BlastConfig(dims=dims, n_mc=3, seed=41)).draws
         long = run_blast(ds, BlastConfig(dims=dims, n_mc=5, seed=41)).draws
-        for d3, d5 in zip(short, long[:3], strict=True):
-            assert np.array_equal(d3.lambda_tilde, d5.lambda_tilde)
-            assert np.array_equal(d3.sigma_tilde_sq, d5.sigma_tilde_sq)
-            for g3, g5 in zip(d3.gamma_tilde_s, d5.gamma_tilde_s, strict=True):
-                assert np.array_equal(g3, g5)
+        assert np.array_equal(short.lambda_tilde, long.lambda_tilde[:3])
+        assert np.array_equal(short.sigma_tilde_sq, long.sigma_tilde_sq[:3])
+        for g3, g5 in zip(short.gamma_tilde_s, long.gamma_tilde_s, strict=True):
+            assert np.array_equal(g3, g5[:3])
 
     def test_reproducible_and_schedule_free(self):
         ds, dims, fe, hp = small_fit(seed=6)
@@ -457,6 +459,59 @@ class TestSampleDraw:
             assert np.array_equal(d1.sigma_tilde_sq, d8.sigma_tilde_sq)
             for g1, g8 in zip(d1.gamma_tilde_s, d8.gamma_tilde_s):
                 assert np.array_equal(g1, g8)
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_draw_rows_equal_sample_draw(self, threads):
+        # each row of the arrays is filled in place by one sample_draw call;
+        # a short switch interval makes the worker threads interleave often
+        ds, dims, fe, hp = small_fit(seed=6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_blast(ds, BlastConfig(dims=dims, n_mc=40, seed=55, threads=threads))
+        finally:
+            sys.setswitchinterval(interval)
+        root = derive_stream(55, ("draw",))
+        for t in range(40):
+            want = sample_draw(result.spec, root.child(t))
+            got = result.draws[t]
+            assert np.array_equal(got.lambda_tilde, want.lambda_tilde)
+            assert np.array_equal(got.sigma_tilde_sq, want.sigma_tilde_sq)
+            for g, w in zip(got.gamma_tilde_s, want.gamma_tilde_s, strict=True):
+                assert np.array_equal(g, w)
+
+
+class TestDrawSet:
+    def make(self, t=4, p=3, k0=2, q_s=(0, 2)):
+        g = np.random.default_rng(0)
+        return DrawSet(lambda_tilde=g.standard_normal((t, p, k0)),
+                       gamma_tilde_s=tuple(g.standard_normal((t, p, q)) for q in q_s),
+                       sigma_tilde_sq=g.random((t, p)))
+
+    def test_len_index_and_iteration(self):
+        draws = self.make()
+        assert len(draws) == 4 and draws
+        assert not self.make(t=0)
+        d = draws[2]
+        assert np.shares_memory(d.lambda_tilde, draws.lambda_tilde)
+        assert np.array_equal(d.gamma_tilde_s[1], draws.gamma_tilde_s[1][2])
+        assert np.array_equal(d.sigma_tilde_sq, draws.sigma_tilde_sq[2])
+        assert [x.sigma_tilde_sq[0] for x in draws] == list(draws.sigma_tilde_sq[:, 0])
+        with pytest.raises(TypeError):
+            draws[1:3]
+        with pytest.raises(IndexError):
+            draws[4]
+
+    @pytest.mark.parametrize("change", [
+        lambda d: {"lambda_tilde": d.lambda_tilde[0]},
+        lambda d: {"gamma_tilde_s": (d.gamma_tilde_s[0], d.gamma_tilde_s[1][:3])},
+        lambda d: {"gamma_tilde_s": (d.gamma_tilde_s[0], d.gamma_tilde_s[1][:, :2])},
+        lambda d: {"sigma_tilde_sq": d.sigma_tilde_sq[..., None]},
+    ], ids=["lambda_ndim", "gamma_n_draws", "gamma_p", "sigma_ndim"])
+    def test_shapes_must_agree(self, change):
+        draws = self.make()
+        with pytest.raises(DimensionError):
+            replace(draws, **change(draws))
 
 
 class TestPointEstimates:
@@ -495,7 +550,7 @@ class TestRunBlast:
     def test_zero_draws(self):
         ds, dims, fe, hp = small_fit(seed=14)
         result = run_blast(ds, BlastConfig(dims=dims, n_mc=0, seed=1))
-        assert result.draws == ()
+        assert len(result.draws) == 0
         assert result.report["n_mc"] == 0
 
     @pytest.mark.filterwarnings("error")
