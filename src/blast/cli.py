@@ -248,8 +248,9 @@ def _write_metrics_csv(path, reports):
         for r, rep in enumerate(reports):
             coverage = ("", "") if rep.coverage_shared is None else (
                 rep.coverage_shared, rep.study_mean("coverage_specific"))
-            writer.writerow([r, rep.rel_error_shared,
-                             *(rep.study_mean(m) for m in per_study), *coverage])
+            # an undefined value is an empty cell, as it is null in metrics.json
+            writer.writerow(_jsonable([r, rep.rel_error_shared,
+                                       *(rep.study_mean(m) for m in per_study), *coverage]))
 
 
 def cmd_ranks(args) -> int:
@@ -274,6 +275,7 @@ def cmd_ranks(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = build_config(args)
+    t_read = time.perf_counter()
     dataset = io.load_dataset(args.data_dir)
     t0 = time.perf_counter()
     result = run_blast(dataset, blast_config_from(cfg))
@@ -291,6 +293,7 @@ def cmd_fit(args) -> int:
     timings = dict(report.pop("timings"))
     timings["total_s"] = time.perf_counter() - t0
     timings["draw_io_s"] = time.perf_counter() - t_io
+    timings["data_read_s"] = t0 - t_read
     io.write_json(out / "timings.json", _jsonable(timings), schema="timings")
     report["threads"] = cfg.threads
     report["config"] = _jsonable(cfg.to_dict())

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -96,6 +98,24 @@ class TestSimulate:
         assert metrics["summary"]["rel_error_specific"]["mean"] > 0
 
 
+    def test_undefined_metric_is_an_empty_cell(self, tmp_path):
+        # rank selection saturates at k0=26 != 2, so no Procrustes error is defined
+        out = tmp_path / "sat"
+        assert run_cli("simulate", "--n-studies", 2, "--n-per-study", 60, "--p", 40,
+                       "--k0", 2, "--q-s", 2, "--seed", 17, "--nmc", 60, "--replicates", 2,
+                       "--submatrix", 20, "--fit", "--out", out) == 0
+        metrics = io.read_json(out / "metrics.json", schema="metrics")
+        with (out / "metrics.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 2
+        assert all(cell.lower() != "nan" for row in rows for cell in row)
+        for row, rep in zip(rows, metrics["replicates"]):
+            cells = dict(zip(header, row))
+            assert cells["procrustes_shared_mean"] == cells["procrustes_specific_mean"] == ""
+            assert all(v is None for v in rep["procrustes_shared"])
+            assert float(cells["rel_error_shared"]) == rep["rel_error_shared"]
+
+
 class TestRanks:
     def test_desk_dataset_dims(self, sim_dir, tmp_path):
         out = tmp_path / "r"
@@ -134,6 +154,17 @@ class TestFit:
         assert not (out / "draws.bin").exists()
         report = io.read_json(out / "fit_report.json", schema="fit_report")
         assert report["draws_file"] is None
+
+    def test_timings_and_read_events(self, sim_dir, tmp_path, caplog):
+        out = tmp_path / "timed"
+        with caplog.at_level(logging.DEBUG, logger="blast.io"):
+            assert run_cli("fit", sim_dir, "--nmc", 0, "--seed", 1, "--out", out) == 0
+        timings = io.read_json(out / "timings.json", schema="timings")
+        assert {"data_read_s", "total_s", "draw_io_s"} <= timings.keys()
+        reads = [r.getMessage() for r in caplog.records if "event=csv_read" in r.getMessage()]
+        assert [m.split()[1] for m in reads] == [
+            f"path={sim_dir / f'study_{s}.csv'}" for s in (1, 2, 3)]
+        assert all("rows=300 cols=200 route=fast seconds=" in m for m in reads)
 
     def test_thread_count_identical_hashes(self, sim_dir, tmp_path):
         hashes = []
