@@ -308,7 +308,10 @@ def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
         raise DimensionError(f"observed indices outside [0, {p})")
     if observed_idx.size >= p:
         raise ParameterError("observed set must be a proper subset of the outcomes")
-    if observed_vals.shape[-1] != observed_idx.size:
+    if observed_vals.ndim != 1:
+        raise DimensionError(f"observed values must be one row (1-D), got shape "
+                             f"{observed_vals.shape}")
+    if observed_vals.shape[0] != observed_idx.size:
         raise DimensionError("observed values and indices disagree in length")
 
     mask = np.ones(p, dtype=bool)

@@ -12,6 +12,7 @@ validates against a shipped schema.
 import contextlib
 import csv
 import importlib.resources
+import itertools
 import json
 import logging
 import math
@@ -102,7 +103,7 @@ def _load_study_csv(path):
                 warnings.simplefilter("error")
                 y = np.loadtxt(_loadtxt_lines(fh), delimiter=",", comments=None, ndmin=2,
                                dtype=np.float64)
-        except (StopIteration, ValueError, Warning):
+        except (StopIteration, ValueError, Warning, csv.Error):
             return None
     if y.shape[0] == 0 or y.shape[1] != len(header):
         return None
@@ -122,17 +123,32 @@ def _loadtxt_lines(fh):
         yield line
 
 
+def _csv_records(fh, path):
+    """(row number, fields) of each CSV record of fh, the header being row 1;
+    an error of csv's own, such as a field over its size limit, is raised
+    as ParseError naming the row."""
+    reader = csv.reader(fh)
+    for r in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {r}: {exc}") from None
+        yield r, row
+
+
 def _parse_study_csv(path):
     """The reference study-CSV parser, row by row through csv and float."""
     with _open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        records = _csv_records(fh, path)
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         rows = []
-        for r, row in enumerate(reader, start=2):
+        for r, row in records:
             if not row:
                 continue
             if len(row) != len(header):

@@ -6,6 +6,10 @@ ridge regression with a normal-inverse-gamma prior, so the posterior is
 closed-form.  Credible intervals from the raw posterior undercover; the
 per-pair inflation factors b (and their mean/max summaries rho) widen the
 conditional loading variance to restore asymptotic frequentist coverage.
+The exact sum over the p(p-1)/2 pairs takes each block of rows through two
+BLAS matrix products over "lifted" per-outcome features, whose inner
+products are each pair's numerator and denominator; above _EXACT_PAIR_FLOPS
+a fixed uniform subsample of pairs stands in for it.
 Draw t takes all of its variates from one counter-based RNG substream keyed
 by (seed, "draw", t), so output never depends on the parallel schedule.
 """
@@ -35,7 +39,8 @@ logger = logging.getLogger(__name__)
 # uniform subsample of pairs.
 _EXACT_PAIR_FLOPS = 1e9
 _PAIR_SUBSAMPLE = 1_000_000
-_PAIR_BLOCK = 512
+# Rows per block of the exact pair sum.
+_PAIR_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -253,27 +258,51 @@ def mu_gamma(y_s, m_hat_s, f_hat_s, mu_lambda, tau_gamma_sq) -> np.ndarray:
     return (y_s.T @ f_hat_s - mu_lambda @ (m_hat_s.T @ f_hat_s)) / denom
 
 
-def _pair_summary(num_den_fn, diag_b, p):
-    """Mean/max of b over unordered pairs, blocked for fixed reduction order.
+def _lifted_features(g, l, v, ng, nl):
+    """Per-outcome rows whose inner products give each pair's num and den.
 
-    num_den_fn(i0, i1) returns the (num, den) arrays of rows [i0, i1) against
-    columns [i0, p); b = sqrt(1 + num/den) with 0/0 treated as 0.
+    With gg = g g^T and gl = l l^T, gg (gg + 2 gl) = sum_ab g_ia g_ja
+    (g_ib g_jb + 2 l_ib l_jb), so num_ij = <zl_i, zr_j> and
+    den_ij = <dl_i, dr_j>.  The num features are q (q + k) + 3 wide.
     """
-    total = float(np.sum(diag_b))
-    best = float(np.max(diag_b))
-    for i0 in range(0, p, _PAIR_BLOCK):
-        i1 = min(i0 + _PAIR_BLOCK, p)
-        num, den = num_den_fn(i0, i1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(den > 0.0, num / den, 0.0)
-        b = np.sqrt(1.0 + ratio)
-        # strictly-upper entries: column c > row a of the block, in row order
-        upper = b[~np.tri(i1 - i0, p - i0, dtype=bool)]
-        total += float(np.sum(upper))
-        if upper.size:
-            best = max(best, float(np.max(upper)))
+    p = g.shape[0]
+
+    def outer(right):  # row i: vec(g_i (x) right_i)
+        return (g[:, :, None] * right[:, None, :]).reshape(p, -1)
+
+    zl = np.column_stack([ng, ng, nl, outer(np.hstack([g, 2.0 * l]))])
+    zr = np.column_stack([ng, nl, ng, outer(np.hstack([g, l]))])
+    return zl, zr, np.column_stack([v, ng]), np.column_stack([ng, v])
+
+
+def _pair_summary(zl, zr, dl, dr, diag_b):
+    """Mean/max of b = sqrt(1 + num/den) over unordered pairs, 0/0 as 0.
+
+    Rows go _PAIR_ROWS at a time against columns [i0, p), two matrix
+    products and a few in-place passes over a block that fits in cache.
+    The block's own square on and below the diagonal is zeroed; those zeros
+    never win the max, since every b >= 1.  The block size is part of the
+    reduction order of the mean.
+    """
+    p = diag_b.shape[0]
+    num_buf, den_buf = np.empty(_PAIR_ROWS * p), np.empty(_PAIR_ROWS * p)
+    row_sum, row_max = np.empty(p), np.empty(p)
+    lower = np.tri(_PAIR_ROWS, dtype=bool)
+    for i0 in range(0, p, _PAIR_ROWS):
+        h, w = min(_PAIR_ROWS, p - i0), p - i0
+        num = np.matmul(zl[i0:i0 + h], zr[i0:].T, out=num_buf[:h * w].reshape(h, w))
+        den = np.matmul(dl[i0:i0 + h], dr[i0:].T, out=den_buf[:h * w].reshape(h, w))
+        np.divide(num, den, out=num)
+        np.copyto(num, 0.0, where=~(den > 0.0))
+        num += 1.0
+        np.sqrt(num, out=num)
+        np.copyto(num[:, :h], 0.0, where=lower[:h, :h])
+        np.sum(num, axis=1, out=row_sum[i0:i0 + h])
+        np.max(num, axis=1, out=row_max[i0:i0 + h])
     n_pairs = p * (p - 1) / 2.0
-    return total / n_pairs, best
+    # np.maximum, unlike the builtin max, keeps a NaN for _require_finite
+    return ((float(np.sum(diag_b)) + float(np.sum(row_sum))) / n_pairs,
+            float(np.max(np.maximum(diag_b, row_max))))
 
 
 def _pair_summary_sampled(num_den_pairs_fn, diag_b, p):
@@ -329,35 +358,32 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None) -> 
         raise ParameterError(f"unknown inflation strategy {strategy!r}")
     if np.any(v_j <= 0.0):
         raise DegenerateVarianceError("some residual variance V_j is zero")
-    ng = np.sum(mu_gamma_s**2, axis=1)
-    nl = np.sum(mu_lambda**2, axis=1)
-    # V_j estimates the residual variance sigma_j^2 and substitutes it
-    # directly in the oracle factors.
-    diag_b = np.sqrt(1.0 + (ng + 2.0 * nl) / (2.0 * v_j))
+    t0 = time.perf_counter()
+    q, k = mu_gamma_s.shape[1], mu_lambda.shape[1]
+    exact = p * p * max(q + k, 1) <= _EXACT_PAIR_FLOPS
+    # data of extreme scale overflow in the pair products and leave NaN or
+    # inf in rho; _require_finite reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ng = np.sum(mu_gamma_s**2, axis=1)
+        nl = np.sum(mu_lambda**2, axis=1)
+        # V_j estimates the residual variance sigma_j^2 and substitutes it
+        # directly in the oracle factors.
+        diag_b = np.sqrt(1.0 + (ng + 2.0 * nl) / (2.0 * v_j))
+        if exact:
+            mean, best = _pair_summary(*_lifted_features(mu_gamma_s, mu_lambda, v_j, ng, nl),
+                                       diag_b)
+        else:
+            def pairs(i, j):
+                gg = np.sum(mu_gamma_s[i] * mu_gamma_s[j], axis=1)
+                gl = np.sum(mu_lambda[i] * mu_lambda[j], axis=1)
+                num = ng[i] * ng[j] + gg**2 + ng[i] * nl[j] + nl[i] * ng[j] + 2.0 * gg * gl
+                den = v_j[i] * ng[j] + ng[i] * v_j[j]
+                return num, den
 
-    def num_den(i, j, dot):
-        # i and j select the pair rows and columns and broadcast together;
-        # dot(x) gives the matching inner products of the rows of x.
-        gg, gl = dot(mu_gamma_s), dot(mu_lambda)
-        # data of extreme scale overflow here; _require_finite reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            num = ng[i] * ng[j] + gg**2 + ng[i] * nl[j] + nl[i] * ng[j] + 2.0 * gg * gl
-            den = v_j[i] * ng[j] + ng[i] * v_j[j]
-        return num, den
-
-    rank = max(mu_gamma_s.shape[1] + mu_lambda.shape[1], 1)
-    if p * p * rank <= _EXACT_PAIR_FLOPS:
-        def block(i0, i1):
-            rows, cols = slice(i0, i1), slice(i0, None)
-            # slicing the full product (not x[cols]) keeps the products bit-equal
-            return num_den((rows, None), (None, cols), lambda x: (x[rows] @ x.T)[:, cols])
-
-        mean, best = _pair_summary(block, diag_b, p)
-    else:
-        def pairs(i, j):
-            return num_den(i, j, lambda x: np.sum(x[i] * x[j], axis=1))
-
-        mean, best = _pair_summary_sampled(pairs, diag_b, p)
+            mean, best = _pair_summary_sampled(pairs, diag_b, p)
+    logger.debug("event=inflation route=%s p=%d width=%d seconds=%.6f",
+                 "exact" if exact else "sampled", p, q * (q + k) + 3,
+                 time.perf_counter() - t0)
     return mean if strategy == "mean" else best
 
 

@@ -373,6 +373,21 @@ class TestExitCodes:
         (data / "study_2.csv").write_text("a,b\n1.0,2.0\n2.0,1.0\n")
         assert run_cli("ranks", data) == 3
 
+    @pytest.mark.parametrize("command", ["ranks", "fit", "predict"])
+    def test_field_over_csv_limit_exits_3(self, point_fit_dir, tmp_path, command):
+        data = tmp_path / "long_field"
+        data.mkdir()
+        (data / "study_1.csv").write_text("a,b\n1.0,2.0\n" + "1" * 131073 + ",2.0\n")
+        (data / "study_2.csv").write_text("a,b\n1.0,2.0\n2.0,1.0\n")
+        argv = {"ranks": ["ranks", data],
+                "fit": ["fit", data, "--nmc", 0, "--out", tmp_path / "fit"],
+                "predict": ["predict", point_fit_dir, "--test", data,
+                            "--out", tmp_path / "out"]}[command]
+        proc = run_cli_child(CLI_SCRIPT, *argv)
+        assert proc.returncode == 3, proc.stderr
+        assert "study_1.csv: row 3: field larger than field limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_numerical_error(self, tmp_path):
         # pure noise: fit cannot find shared structure
         data = tmp_path / "noise"

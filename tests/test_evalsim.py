@@ -5,6 +5,7 @@ import pytest
 
 from blast import evalsim
 from blast.errors import (
+    DimensionError,
     InvalidCovarianceError,
     ParameterError,
     UndefinedMetricError,
@@ -361,6 +362,13 @@ class TestConditionalPredict:
         bad = diag_model(np.array([1.0, -1.0, 1.0]))
         with pytest.raises(InvalidCovarianceError):
             conditional_predict(bad, [1], [0.0])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2), (1, 3), (3, 1), ()])
+    def test_observed_values_must_be_one_row(self, rng, shape):
+        # a (3, 3) block once returned a wrong (3, p_o) array without an error
+        model = random_model(rng, 7, 2)
+        with pytest.raises(DimensionError, match="must be one row"):
+            conditional_predict(model, [0, 2, 4], rng.standard_normal(shape))
 
     def test_singular_dense_block_raises(self):
         # zero diagonal on the observed block and one shared factor: the

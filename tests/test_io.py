@@ -175,6 +175,16 @@ class TestStudyCsvErrors:
         with pytest.raises(DataError):
             io.read_study_csv(tmp_path / "study_1.csv")
 
+    @pytest.mark.parametrize("read", [io.read_study_csv, io._parse_study_csv])
+    @pytest.mark.parametrize("name,row", [("field_over_csv_limit", 3),
+                                          ("header_over_csv_limit", 1)])
+    def test_field_over_csv_limit(self, tmp_path, read, name, row):
+        path = write_csv(tmp_path / "study_1.csv", UNUSUAL_CSVS[name])
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == (f"{path}: row {row}: field larger than field limit "
+                                  f"({csv.field_size_limit()})")
+
     def test_header_mismatch(self, tmp_path):
         write_csv(tmp_path / "study_1.csv", "a,b\n1,2\n3,4\n")
         path = write_csv(tmp_path / "study_2.csv", "a,c\n1,2\n3,4\n")
@@ -224,6 +234,7 @@ UNUSUAL_CSVS = {
     "empty": "",
     "header_only": "a,b\n",
     "field_over_csv_limit": "a,b\n1,2\n" + "0" * 131072 + "1,2\n",
+    "header_over_csv_limit": "a" * 131073 + ",b\n1,2\n",
     "line_over_csv_limit": "a,b\n" + "0" * 131060 + ".5," + "1" * 100 + "\n",
     "not_utf8": b"a,b\n1,2\n\xff,3\n",
     "not_utf8_header": b"\xffa,b\n1,2\n",
@@ -231,10 +242,10 @@ UNUSUAL_CSVS = {
 
 
 def read_outcome(read, path):
-    """Bit pattern and header of a read, or the error raised."""
+    """Bit pattern and header of a read, or the ParseError raised."""
     try:
         y, header = read(path)
-    except (ParseError, csv.Error) as exc:
+    except ParseError as exc:
         return type(exc), str(exc)
     return y.dtype, y.shape, y.tobytes(), header
 

@@ -1,5 +1,7 @@
+import logging
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from blast.errors import (
     NumericalError,
     ParameterError,
 )
+from blast import posterior as post
 from blast.evalsim import SimScenario, generate
 from blast.numerics import derive_stream
 from blast.posterior import (
@@ -269,6 +272,70 @@ class TestInflation:
                                    np.sum(upper) / (p * (p - 1) / 2.0), rtol=1e-12)
         np.testing.assert_allclose(inflation_gamma(mu_g, mu_l, v, strategy="max"),
                                    np.max(upper), rtol=1e-12)
+
+    @pytest.mark.parametrize("q,k", [(2, 3), (1, 0), (4, 0), (1, 2)])
+    def test_lifted_pair_sum_matches_dense_all_pairs(self, rng, monkeypatch, q, k):
+        # 1100 = 17 x 64 + 12, so the last row block is ragged; k = 0 is the
+        # inflation_lambda path; all-zero specific rows make 0/0 pairs
+        monkeypatch.setattr(post, "_PAIR_ROWS", 64)
+        p = 1100
+        mu_g, mu_l = rng.standard_normal((p, q)), rng.standard_normal((p, k))
+        mu_g[100::25] = 0.0
+        mu_g[[70, 1093]] = 6.0 * mu_g[71]
+        v = rng.uniform(0.5, 2.0, size=p)
+        ng, nl = np.sum(mu_g**2, axis=1), np.sum(mu_l**2, axis=1)
+        gg, gl = mu_g @ mu_g.T, mu_l @ mu_l.T
+        num = (np.outer(ng, ng) + gg**2 + np.outer(ng, nl) + np.outer(nl, ng)
+               + 2.0 * gg * gl)
+        den = np.outer(v, ng) + np.outer(ng, v)
+        assert np.sum(den == 0.0) == 40 * 40
+        with np.errstate(invalid="ignore", divide="ignore"):
+            b = np.sqrt(1.0 + np.where(den > 0.0, num / den, 0.0))
+        np.fill_diagonal(b, np.sqrt(1.0 + (ng + 2.0 * nl) / (2.0 * v)))
+        upper = b[np.triu_indices(p)]
+        np.testing.assert_allclose(inflation_gamma(mu_g, mu_l, v, strategy="mean"),
+                                   np.sum(upper) / (p * (p - 1) / 2.0), rtol=1e-12)
+        np.testing.assert_allclose(inflation_gamma(mu_g, mu_l, v, strategy="max"),
+                                   np.max(upper), rtol=1e-12)
+
+    def test_rho_independent_of_application_threads(self):
+        ds, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
+                                     loading_sd=0.5, seed=31))
+        r1, r4 = (run_blast(ds, BlastConfig(n_mc=4, seed=5, threads=t)) for t in (1, 4))
+        assert r1.spec.rho_lambda == r4.spec.rho_lambda
+        assert r1.spec.rho_gamma == r4.spec.rho_gamma
+
+    def test_one_debug_line_per_call(self, caplog):
+        ds, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
+                                     loading_sd=0.5, seed=31))
+        with caplog.at_level(logging.DEBUG, logger="blast.posterior"):
+            result = run_blast(ds, BlastConfig(n_mc=0, seed=5))
+        events = [r.getMessage() for r in caplog.records if "event=inflation" in r.getMessage()]
+        assert all(q > 0 for q in result.dims.q_s)
+        assert len(events) == len(ds.studies) + 1
+        k0 = result.dims.k0
+        assert events[0].startswith(f"event=inflation route=exact p=150 width={k0 * k0 + 3} ")
+        for event, q in zip(events[1:], result.dims.q_s):
+            assert f" p=150 width={q * (q + k0) + 3} seconds=" in event
+        assert all("route=exact" in e for e in events)
+
+    def test_logs_sampled_route(self, rng, monkeypatch, caplog):
+        monkeypatch.setattr(post, "_EXACT_PAIR_FLOPS", 0)
+        with caplog.at_level(logging.DEBUG, logger="blast.posterior"):
+            inflation_lambda(rng.standard_normal((30, 2)), np.ones(30))
+        assert "event=inflation route=sampled p=30 width=7 seconds=" in caplog.text
+
+    @pytest.mark.parametrize("flops", [post._EXACT_PAIR_FLOPS, 0])
+    def test_overflow_leaves_nan_without_warning(self, rng, monkeypatch, flops):
+        monkeypatch.setattr(post, "_EXACT_PAIR_FLOPS", flops)
+        p = 300
+        mu_g, mu_l = 1e100 * rng.standard_normal((p, 2)), 1e100 * rng.standard_normal((p, 3))
+        v = 1e200 * rng.uniform(0.5, 2.0, size=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for strategy in ("mean", "max"):
+                assert not np.isfinite(inflation_gamma(mu_g, mu_l, v, strategy=strategy))
+                assert not np.isfinite(inflation_lambda(mu_l, v, strategy=strategy))
 
     def test_fixed_strategy(self, rng):
         mu = rng.standard_normal((4, 2))
