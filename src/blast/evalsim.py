@@ -14,7 +14,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     DataError,
@@ -225,15 +224,33 @@ def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
     interval of the draw products lambda_j . lambda_j' (and per study
     gamma_sj . gamma_sj') is checked against the true product.  Only that
     upper triangle is computed: m(m+1)/2 x T doubles per component, for a
-    subset of m = `submatrix` outcomes and T draws.  Returns
+    subset of m = `submatrix` outcomes and T draws.
+
+    The interval is np.quantile's default (linear) one, but most pairs are
+    decided without it, by counting the draws below and at or below the
+    true product: a product strictly clear of both order statistics that
+    bound an interval edge lies on a known side of that edge.  Only the
+    remaining pairs (ties, degenerate rows, a product between the two order
+    statistics of an edge), or a whole component with a non-finite or
+    huge (>= 2^1022) draw product, go through np.quantile, so the result
+    equals the all-quantile computation exactly.  Returns
     (coverage_shared, coverage_specific) with one specific entry per study
-    (nan when q_s = 0).
+    (nan when q_s = 0).  Raises DimensionError when the draws and the truth
+    disagree in p or in the number of studies.
     """
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
     if len(draws) < 50:
         raise ParameterError(f"need at least 50 draws, got {len(draws)}")
     p = truth.lambda0.shape[0]
+    draws_p = draws.sigma_tilde_sq.shape[1]
+    truth_rows = {g.shape[0] for g in (truth.lambda0, *truth.gamma0_s)}
+    if truth_rows != {draws_p}:
+        raise DimensionError(f"draws have p={draws_p} outcomes, the truth's loadings have "
+                             f"{sorted(truth_rows)} rows")
+    if len(draws.gamma_tilde_s) != len(truth.gamma0_s):
+        raise DimensionError(f"draws have {len(draws.gamma_tilde_s)} studies, "
+                             f"the truth has {len(truth.gamma0_s)}")
     if submatrix < 1:
         raise ParameterError(f"submatrix must be at least 1, got {submatrix}")
     if submatrix > p:
@@ -272,11 +289,39 @@ def _triangle_products(rows):
 def _pair_coverage(draw_rows, truth_rows, level):
     # draw_rows: (T, m, k).  The truth products go through the same helper,
     # in the same summation order, so degenerate draws cover their own value.
+    t0 = time.perf_counter()
     prods = _triangle_products(draw_rows)
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(prods, [alpha, 1.0 - alpha], axis=-1, overwrite_input=True)
     target = _triangle_products(truth_rows[None])[:, 0]
-    return float(np.mean((target >= lo) & (target <= hi)))
+    n_draws = prods.shape[1]
+    alpha = (1.0 - level) / 2.0
+    quantiles = np.array([alpha, 1.0 - alpha])
+    # np.quantile's linear method interpolates between the order statistics
+    # x(i), x(i+1) at the virtual index i + g = (T-1) q, and its lerp stays
+    # inside [x(i), x(i+1)] unless x(i+1) - x(i) overflows (ruled out below).
+    # A target strictly clear of both order statistics of an edge therefore
+    # lies on a known side of it, which counting the draws below it shows;
+    # only the pairs left over need the quantiles themselves.
+    a, b = np.floor((n_draws - 1) * quantiles).astype(np.intp)
+    # false for a nan or inf product too (np.max propagates nan)
+    if np.abs([prods.min(), prods.max()]).max() < 2.0**1022:
+        route = "counts"
+        n_lt = np.count_nonzero(prods < target[:, None], axis=-1)
+        n_le = np.count_nonzero(prods <= target[:, None], axis=-1)
+        # n_lt >= a+2: x(a+1) < target, so lo <= target; n_le <= a: x(a) >
+        # target, so lo > target; likewise at the upper edge with b
+        covered = (n_lt >= a + 2) & (n_le <= b)
+        outside = (n_le <= a) | (n_lt >= b + 2)
+        edge = np.flatnonzero(~(covered | outside))
+    else:
+        route = "quantile"
+        covered = np.zeros(prods.shape[0], dtype=bool)
+        edge = np.arange(prods.shape[0])
+    if edge.size:
+        lo, hi = np.quantile(prods[edge], quantiles, axis=-1, overwrite_input=True)
+        covered[edge] = (target[edge] >= lo) & (target[edge] <= hi)
+    logger.debug("event=coverage pairs=%d quantile_pairs=%d route=%s seconds=%.6f",
+                 prods.shape[0], edge.size, route, time.perf_counter() - t0)
+    return float(np.mean(covered))
 
 
 def _woodbury_pieces(w, diag):
@@ -404,6 +449,8 @@ def predictive_interval_coverage(cov: CovarianceModel, y_test, level,
     """
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
+    from scipy.stats import norm  # slow to import; only this metric needs it
+
     y, observed_idx = _prediction_inputs(cov, y_test, observed_idx)
     z = norm.ppf(0.5 + level / 2.0)
     hits = 0

@@ -482,3 +482,12 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "huge"}))
         assert run_cli("simulate", "--config", path) == 2
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second at start-up; only `blast predict`
+    # needs it, for one normal quantile
+    proc = run_cli_child("import sys\nimport blast.cli\n"
+                         "print('scipy.stats' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

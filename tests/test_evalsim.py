@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blast import evalsim
 from blast.errors import (
@@ -299,6 +301,99 @@ class TestTriangleCoverage:
         ref = np.einsum("tik,tjk->tij", rows, rows)[:, i, j].T
         scale = np.einsum("tik,tjk->tij", np.abs(rows), np.abs(rows))[:, i, j].T
         assert np.all(np.abs(evalsim._triangle_products(rows) - ref) <= 1e-14 * scale)
+
+
+@st.composite
+def coverage_cases(draw):
+    """(draw_rows, truth_rows, level) whose products both `_pair_coverage` and
+    the einsum oracle compute exactly: small integers or dyadic values for
+    k > 1, and a single product per pair (k = 1) for arbitrary floats."""
+    t = draw(st.sampled_from([50, 51, 500, 501]))
+    m = draw(st.integers(1, 6))
+    level = draw(st.one_of(st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999]),
+                           st.floats(0.5, 0.999)))
+    kind = draw(st.sampled_from(["integer", "truth_rows", "concentrated", "extreme"]))
+    k = draw(st.integers(1, 3)) if kind in ("integer", "truth_rows") else 1
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "integer":  # ties
+        truth_rows = g.integers(-3, 4, (m, k)).astype(float)
+        draw_rows = g.integers(-3, 4, (t, m, k)).astype(float)
+    elif kind == "truth_rows":  # draws equal to the truth, signed zeros included
+        pool = np.array([0.0, -0.0, 0.5, -0.5, 1.25, -2.0])
+        truth_rows = g.choice(pool, (m, k))
+        same = g.random((t, m, 1)) < draw(st.floats(0.0, 1.0))
+        draw_rows = np.where(same, truth_rows, g.choice(pool, (t, m, k)))
+    elif kind == "concentrated":  # near-degenerate rows around the truth
+        truth_rows = g.standard_normal((m, 1))
+        scale = draw(st.sampled_from([1.0, 1e-3, 1e-15]))
+        draw_rows = truth_rows + scale * g.standard_normal((t, m, 1))
+    else:  # products at +-inf, nan and near 2^1023
+        pool = np.array([np.inf, -np.inf, np.nan, 2.0**511.6, -(2.0**511.6), 2.0**511,
+                         1.0, -1.0, 0.0])
+        truth_rows = g.choice(pool, (m, 1))
+        draw_rows = g.standard_normal((t, m, 1)) * draw(st.sampled_from([1.0, 2.0**511]))
+        hit = g.random((t, m, 1)) < draw(st.floats(0.0, 0.2))
+        draw_rows[hit] = g.choice(pool, int(hit.sum()))
+    return draw_rows, truth_rows, level
+
+
+class TestRankCountCoverage:
+    @settings(max_examples=300, deadline=None)
+    @given(coverage_cases())
+    def test_matches_einsum_oracle_exactly(self, case):
+        draw_rows, truth_rows, level = case
+        with np.errstate(all="ignore"):
+            want = einsum_pair_coverage(draw_rows, truth_rows, level)
+            assert evalsim._pair_coverage(draw_rows, truth_rows, level) == want
+
+    def test_overflowing_lerp_goes_to_quantiles(self):
+        # Products of row 0 with row 1 jump from -2^1023.9 to +2^1023.05 at
+        # the lower edge of a 50% interval (order statistics 12 and 13), so
+        # the lerp between them overflows and np.quantile returns lo = +inf:
+        # a target above x(13) is not covered, though its counts say covered.
+        t = 50
+        x1 = np.concatenate([np.full(13, -(2.0**511.95)),
+                             2.0 ** np.linspace(511.1, 511.95, t - 13)])
+        draw_rows = np.stack([np.full(t, 2.0**511.95), x1], axis=1)[:, :, None]
+        truth_rows = np.array([[2.0**511.95], [x1[25]]])
+        with np.errstate(all="ignore"):
+            want = einsum_pair_coverage(draw_rows, truth_rows, 0.5)
+            assert evalsim._pair_coverage(draw_rows, truth_rows, 0.5) == want
+
+    @pytest.mark.parametrize("route", ["counts", "quantile"])
+    def test_coverage_event_is_logged(self, route, caplog):
+        g = np.random.default_rng(4)
+        draw_rows = g.standard_normal((200, 10, 2))
+        if route == "quantile":
+            draw_rows[7, 3, 0] = np.inf
+        with np.errstate(invalid="ignore"), caplog.at_level(logging.DEBUG, logger="blast"):
+            evalsim._pair_coverage(draw_rows, g.standard_normal((10, 2)), 0.9)
+        [rec] = [r for r in caplog.records if r.getMessage().startswith("event=coverage ")]
+        assert rec.levelno == logging.DEBUG
+        fields = dict(f.split("=", 1) for f in rec.getMessage().split())
+        assert fields["pairs"] == "55" and fields["route"] == route
+        assert float(fields["seconds"]) >= 0.0
+        quantile_pairs = int(fields["quantile_pairs"])
+        if route == "quantile":
+            assert quantile_pairs == 55
+        else:
+            assert 0 <= quantile_pairs < 55
+
+
+def test_coverage_eval_rejects_draw_truth_mismatch(rng):
+    lam = rng.standard_normal((20, 2))
+    truth = SimTruth(lambda0=lam, gamma0_s=(lam,), sigma0_sq=np.ones(20), m0_s=(),
+                     f0_s=())
+    for p in (30, 10):  # extra draw outcomes went unnoticed, missing ones hit IndexError
+        rows = rng.standard_normal((60, p, 2))
+        with pytest.raises(DimensionError, match="outcomes"):
+            coverage_eval(make_draws_from_rows(rows, rows), truth, submatrix=5)
+    rows = np.repeat(lam[None], 60, axis=0)
+    for gammas in ((), (rows, rows)):
+        draws = DrawSet(lambda_tilde=rows, gamma_tilde_s=gammas,
+                        sigma_tilde_sq=np.ones((60, 20)))
+        with pytest.raises(DimensionError, match="studies"):
+            coverage_eval(draws, truth, submatrix=5)
 
 
 class TestConditionalPredict:
