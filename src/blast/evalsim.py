@@ -12,6 +12,7 @@ never invert a dense p x p matrix.
 import logging
 import time
 from dataclasses import asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .spectral import MultiStudyDataset
 logger = logging.getLogger(__name__)
 
 _RANK_REGEN_ATTEMPTS = 10
+_PAIR_BLOCK = 1024  # pairs per products block of coverage: 4 MB at T = 500
 
 
 @dataclass(frozen=True)
@@ -223,17 +225,21 @@ def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
     For every unordered pair (j, j') inside the subset, j = j' included, the
     interval of the draw products lambda_j . lambda_j' (and per study
     gamma_sj . gamma_sj') is checked against the true product.  Only that
-    upper triangle is computed: m(m+1)/2 x T doubles per component, for a
-    subset of m = `submatrix` outcomes and T draws.
+    upper triangle is computed, for a subset of m = `submatrix` outcomes and
+    T draws, and never all at once: it is made and decided in blocks of at
+    most `_PAIR_BLOCK` pairs in one reused buffer, so memory grows as
+    m x k x T (the loadings) plus a fixed 8 x 1024 x T bytes, not as m^2 x T.
+    The truth rides along as draw T, zero-padded with the draws to the wider
+    rank, so its products come from the same kernel and summation order.
 
     The interval is np.quantile's default (linear) one, but most pairs are
     decided without it, by counting the draws below and at or below the
     true product: a product strictly clear of both order statistics that
     bound an interval edge lies on a known side of that edge.  Only the
     remaining pairs (ties, degenerate rows, a product between the two order
-    statistics of an edge), or a whole component with a non-finite or
-    huge (>= 2^1022) draw product, go through np.quantile, so the result
-    equals the all-quantile computation exactly.  Returns
+    statistics of an edge), or a whole block with a non-finite or huge
+    (>= 2^1022) draw product, go through np.quantile, so the result equals
+    the all-quantile computation exactly.  Returns
     (coverage_shared, coverage_specific) with one specific entry per study
     (nan when q_s = 0).  Raises DimensionError when the draws and the truth
     disagree in p or in the number of studies.
@@ -270,29 +276,47 @@ def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
     return shared, tuple(specific)
 
 
-def _triangle_products(rows):
-    """Row inner products rows[t, i] . rows[t, j] for i <= j, as an
-    (m(m+1)/2, T) array in the pair order of np.triu_indices(m), with the
-    draw axis last and contiguous."""
-    t, m, k = rows.shape
-    at = rows.transpose(1, 2, 0).copy()  # (m, k, T)
-    out = np.zeros((m * (m + 1) // 2, t))
-    off = 0
+def _triangle_blocks(draw_rows, truth_rows):
+    """Yield the upper-triangle pair products rows[i] . rows[j], i <= j, in
+    the pair order of np.triu_indices(m), as (n, T+1) blocks of at most
+    `_PAIR_BLOCK` pairs: columns 0..T-1 are the T draws (draw_rows is
+    (T, m, k)) and column T is the truth (truth_rows is (m, k')).
+
+    The truth rides along as draw T, and both are zero-padded to the wider
+    rank, so its products come from the same kernel and summation order as
+    the draws': a draw equal to the truth has exactly the true products.
+    Each block is a view of one reused buffer, valid until the
+    next block is requested.
+    """
+    t, m, k_draw = draw_rows.shape
+    k_truth = truth_rows.shape[1]
+    at = np.zeros((m, max(k_draw, k_truth), t + 1))
+    at[:, :k_draw, :t] = draw_rows.transpose(1, 2, 0)
+    at[:, :k_truth, t] = truth_rows
+    size = min(_PAIR_BLOCK, m * (m + 1) // 2)
+    buf = np.empty((size, t + 1))
+    n = 0
     for i in range(m):
-        block = out[off : off + m - i]
-        for c in range(k):
-            block += at[i, c] * at[i:, c]
-        off += m - i
-    return out
+        j = i
+        while j < m:
+            take = min(m - j, size - n)
+            # sums over the rank axis in order, as repeated multiply-and-add
+            # would (with at least two columns; one column takes another path)
+            np.einsum("ct,jct->jt", at[i], at[j : j + take], out=buf[n : n + take])
+            n += take
+            j += take
+            if n == size:
+                yield buf
+                n = 0
+    if n:
+        yield buf[:n]
 
 
 def _pair_coverage(draw_rows, truth_rows, level):
-    # draw_rows: (T, m, k).  The truth products go through the same helper,
-    # in the same summation order, so degenerate draws cover their own value.
+    # draw_rows: (T, m, k), truth_rows: (m, k'); returns the covered share
+    # of the m(m+1)/2 pairs, decided block by block.
     t0 = time.perf_counter()
-    prods = _triangle_products(draw_rows)
-    target = _triangle_products(truth_rows[None])[:, 0]
-    n_draws = prods.shape[1]
+    n_draws = draw_rows.shape[0]
     alpha = (1.0 - level) / 2.0
     quantiles = np.array([alpha, 1.0 - alpha])
     # np.quantile's linear method interpolates between the order statistics
@@ -302,26 +326,34 @@ def _pair_coverage(draw_rows, truth_rows, level):
     # lies on a known side of it, which counting the draws below it shows;
     # only the pairs left over need the quantiles themselves.
     a, b = np.floor((n_draws - 1) * quantiles).astype(np.intp)
-    # false for a nan or inf product too (np.max propagates nan)
-    if np.abs([prods.min(), prods.max()]).max() < 2.0**1022:
-        route = "counts"
-        n_lt = np.count_nonzero(prods < target[:, None], axis=-1)
-        n_le = np.count_nonzero(prods <= target[:, None], axis=-1)
-        # n_lt >= a+2: x(a+1) < target, so lo <= target; n_le <= a: x(a) >
-        # target, so lo > target; likewise at the upper edge with b
-        covered = (n_lt >= a + 2) & (n_le <= b)
-        outside = (n_le <= a) | (n_lt >= b + 2)
-        edge = np.flatnonzero(~(covered | outside))
-    else:
-        route = "quantile"
-        covered = np.zeros(prods.shape[0], dtype=bool)
-        edge = np.arange(prods.shape[0])
-    if edge.size:
-        lo, hi = np.quantile(prods[edge], quantiles, axis=-1, overwrite_input=True)
-        covered[edge] = (target[edge] >= lo) & (target[edge] <= hi)
-    logger.debug("event=coverage pairs=%d quantile_pairs=%d route=%s seconds=%.6f",
-                 prods.shape[0], edge.size, route, time.perf_counter() - t0)
-    return float(np.mean(covered))
+    pairs = covered_pairs = quantile_pairs = 0
+    routes = []
+    for block in _triangle_blocks(draw_rows, truth_rows):
+        prods, target = block[:, :n_draws], block[:, n_draws]
+        # false for a nan or inf product too (np.max propagates nan)
+        if np.abs([prods.min(), prods.max()]).max() < 2.0**1022:
+            routes.append("counts")
+            n_lt = np.count_nonzero(prods < target[:, None], axis=-1)
+            n_le = np.count_nonzero(prods <= target[:, None], axis=-1)
+            # n_lt >= a+2: x(a+1) < target, so lo <= target; n_le <= a: x(a) >
+            # target, so lo > target; likewise at the upper edge with b
+            covered = (n_lt >= a + 2) & (n_le <= b)
+            outside = (n_le <= a) | (n_lt >= b + 2)
+            edge = np.flatnonzero(~(covered | outside))
+        else:
+            routes.append("quantile")
+            covered = np.zeros(block.shape[0], dtype=bool)
+            edge = np.arange(block.shape[0])
+        if edge.size:
+            lo, hi = np.quantile(prods[edge], quantiles, axis=-1, overwrite_input=True)
+            covered[edge] = (target[edge] >= lo) & (target[edge] <= hi)
+        pairs += block.shape[0]
+        covered_pairs += int(np.count_nonzero(covered))
+        quantile_pairs += edge.size
+    route = routes[0] if len(set(routes)) == 1 else "mixed"
+    logger.debug("event=coverage pairs=%d blocks=%d quantile_pairs=%d route=%s seconds=%.6f",
+                 pairs, len(routes), quantile_pairs, route, time.perf_counter() - t0)
+    return covered_pairs / pairs
 
 
 def _woodbury_pieces(w, diag):
@@ -439,6 +471,12 @@ def _prediction_inputs(cov: CovarianceModel, y_test, observed_idx):
     return y, np.asarray(observed_idx, dtype=np.intp)
 
 
+def _central_z(level):
+    """The z with P(|N(0, 1)| <= z) = level, from the standard library
+    (within a few ulp of the exact quantile), so no command imports scipy."""
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
+
+
 def predictive_interval_coverage(cov: CovarianceModel, y_test, level,
                                  observed_idx=None) -> float:
     """Mean coverage of central predictive intervals over all test rows.
@@ -449,10 +487,8 @@ def predictive_interval_coverage(cov: CovarianceModel, y_test, level,
     """
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
-    from scipy.stats import norm  # slow to import; only this metric needs it
-
     y, observed_idx = _prediction_inputs(cov, y_test, observed_idx)
-    z = norm.ppf(0.5 + level / 2.0)
+    z = _central_z(level)
     hits = 0
     total = 0
     for row in y:

@@ -485,9 +485,27 @@ class TestExitCodes:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second at start-up; only `blast predict`
-    # needs it, for one normal quantile
+    # scipy.stats costs about half a second at start-up, and no command needs it
     proc = run_cli_child("import sys\nimport blast.cli\n"
                          "print('scipy.stats' in sys.modules)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_journey_loads_no_scipy(tmp_path):
+    # scipy.linalg is imported only when an SVD falls back to gesvd; a
+    # well-posed journey, predict included, runs without any scipy module
+    proc = run_cli_child(
+        "import sys\nfrom blast.cli import main\n"
+        "sim, fit, test = sys.argv[1:]\n"
+        "small = ['--n-studies', '2', '--n-per-study', '40', '--p', '20', '--k0', '2',\n"
+        "         '--q-s', '1']\n"
+        "assert main(['simulate', *small, '--seed', '3', '--out', sim]) == 0\n"
+        "assert main(['simulate', *small, '--seed', '4', '--out', test]) == 0\n"
+        "assert main(['fit', sim, '--nmc', '60', '--seed', '1', '--out', fit]) == 0\n"
+        "assert main(['predict', fit, '--test', test, '--out', fit]) == 0\n"
+        "assert main(['report', fit]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n",
+        tmp_path / "sim", tmp_path / "fit", tmp_path / "test")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -1,4 +1,6 @@
 import logging
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -289,18 +291,63 @@ class TestTriangleCoverage:
     def test_pair_order_is_triu_indices(self):
         primes = np.array([2.0, 3.0, 5.0, 7.0, 11.0])  # distinct pairwise products
         rows = np.stack([primes, 10.0 * primes])[:, :, None]  # T=2, m=5, k=1
-        prods = evalsim._triangle_products(rows)
+        prods = triangle_products(rows)
         i, j = np.triu_indices(5)
         assert prods.shape == (15, 2) and prods.flags.c_contiguous
         np.testing.assert_array_equal(prods, (rows[:, i, 0] * rows[:, j, 0]).T)
-        np.testing.assert_array_equal(evalsim._triangle_products(rows[:, :, :0]), 0.0)
+        np.testing.assert_array_equal(triangle_products(rows[:, :, :0]), 0.0)
 
     def test_products_match_einsum(self):
         rows = np.random.default_rng(7).standard_normal((9, 37, 5))
         i, j = np.triu_indices(37)
         ref = np.einsum("tik,tjk->tij", rows, rows)[:, i, j].T
         scale = np.einsum("tik,tjk->tij", np.abs(rows), np.abs(rows))[:, i, j].T
-        assert np.all(np.abs(evalsim._triangle_products(rows) - ref) <= 1e-14 * scale)
+        assert np.all(np.abs(triangle_products(rows) - ref) <= 1e-14 * scale)
+
+
+def triangle_products(rows):
+    """All (m(m+1)/2, T) draw products of `_triangle_blocks`, stacked, with
+    the truth column (here rows[0]) dropped."""
+    t = rows.shape[0]
+    return np.concatenate([block[:, :t] for block in
+                           evalsim._triangle_blocks(rows, rows[0])])
+
+
+class TestTriangleBlocks:
+    @pytest.mark.parametrize("t_plus_1", [51, 52, 501, 502])
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_kernel_is_sequential_multiply_add(self, k, t_plus_1, monkeypatch):
+        # Coverage must not move with the numpy build: a kernel that fused the
+        # multiply-add, or summed the rank axis in another order, fails here.
+        g = np.random.default_rng(100 * k + t_plus_1)
+        m = 12
+        scales = 10.0 ** g.uniform(-150, 150, (m, 1))  # products 1e-300 .. 1e300
+        draw_rows = g.standard_normal((t_plus_1 - 1, m, k)) * scales
+        truth_rows = g.standard_normal((m, k)) * scales
+        lifted = np.concatenate([draw_rows, truth_rows[None]]).transpose(1, 2, 0)
+        i, j = np.triu_indices(m)
+        ref = np.zeros((i.size, t_plus_1))
+        for c in range(k):
+            ref += lifted[i, c] * lifted[j, c]
+        for block_pairs in (evalsim._PAIR_BLOCK, 7, 1):  # 7 and 1 split rows
+            monkeypatch.setattr(evalsim, "_PAIR_BLOCK", block_pairs)
+            blocks = [b.copy() for b in evalsim._triangle_blocks(draw_rows, truth_rows)]
+            assert all(len(b) <= block_pairs and b.flags.c_contiguous for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), ref)
+
+    def test_memory_grows_linearly_in_m(self):
+        # the full products array alone is 20 MB at m = 100 and 181 MB at m = 300
+        g = np.random.default_rng(8)
+        for m, bound_mb in ((100, 12), (300, 25)):
+            draw_rows = g.standard_normal((500, m, 5))
+            truth_rows = g.standard_normal((m, 5))
+            tracemalloc.start()
+            try:
+                evalsim._pair_coverage(draw_rows, truth_rows, 0.95)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mb * 1e6, (m, peak / 1e6)
 
 
 @st.composite
@@ -378,6 +425,63 @@ class TestRankCountCoverage:
             assert quantile_pairs == 55
         else:
             assert 0 <= quantile_pairs < 55
+
+
+@st.composite
+def multi_block_cases(draw):
+    """(draw_rows, truth_rows, level, block_pairs) where the m(m+1)/2 pairs
+    span at least three blocks of `block_pairs`, and the m pairs of row 0
+    fall in the first block."""
+    t = draw(st.sampled_from([50, 51, 500, 501]))
+    m = draw(st.integers(4, 9))
+    block_pairs = draw(st.integers(m, (m * (m + 1) // 2 - 1) // 2))
+    level = draw(st.one_of(st.sampled_from([0.5, 0.9, 0.95, 0.99]), st.floats(0.5, 0.999)))
+    kind = draw(st.sampled_from(["ties", "truth_rows", "one_bad_block", "other_rank"]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        k = draw(st.integers(1, 3))
+        truth_rows = g.integers(-3, 4, (m, k)).astype(float)
+        draw_rows = g.integers(-3, 4, (t, m, k)).astype(float)
+    elif kind == "truth_rows":  # draws equal to the truth, signed zeros included
+        pool = np.array([0.0, -0.0, 0.5, -0.5, 1.25, -2.0])
+        truth_rows = g.choice(pool, (m, draw(st.integers(1, 3))))
+        same = g.random((t, m, 1)) < draw(st.floats(0.0, 1.0))
+        draw_rows = np.where(same, truth_rows, g.choice(pool, (t,) + truth_rows.shape))
+    elif kind == "one_bad_block":  # only the first block holds non-finite or huge products
+        truth_rows = g.standard_normal((m, 1))
+        draw_rows = g.standard_normal((t, m, 1))
+        bad = np.array([np.inf, -np.inf, np.nan, 2.0**511.6, -(2.0**511.6)])
+        hit = g.random(t) < draw(st.floats(0.0, 0.2))
+        hit[g.integers(t)] = True
+        draw_rows[hit, 0, 0] = g.choice(bad, int(hit.sum()))
+    else:  # a selected rank that differs from the truth's
+        k_draw, k_truth = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2,
+                                        unique=True))
+        truth_rows = g.integers(-2, 3, (m, k_truth)) / 2.0
+        draw_rows = g.integers(-2, 3, (t, m, k_draw)) / 2.0
+    return draw_rows, truth_rows, level, block_pairs
+
+
+class TestBlockedCoverage:
+    @settings(max_examples=200, deadline=None)
+    @given(multi_block_cases())
+    def test_matches_einsum_oracle_exactly(self, case):
+        draw_rows, truth_rows, level, block_pairs = case
+        with np.errstate(all="ignore"), mock.patch.object(evalsim, "_PAIR_BLOCK", block_pairs):
+            want = einsum_pair_coverage(draw_rows, truth_rows, level)
+            assert evalsim._pair_coverage(draw_rows, truth_rows, level) == want
+
+    def test_one_overflowing_block_reports_mixed_route(self, monkeypatch, caplog):
+        g = np.random.default_rng(5)
+        draw_rows = g.standard_normal((200, 10, 2))
+        draw_rows[7, 0, 0] = np.inf  # pairs (0, j) fill the first of 6 blocks
+        monkeypatch.setattr(evalsim, "_PAIR_BLOCK", 10)
+        with np.errstate(invalid="ignore"), caplog.at_level(logging.DEBUG, logger="blast"):
+            evalsim._pair_coverage(draw_rows, g.standard_normal((10, 2)), 0.9)
+        [rec] = [r for r in caplog.records if r.getMessage().startswith("event=coverage ")]
+        fields = dict(f.split("=", 1) for f in rec.getMessage().split())
+        assert (fields["pairs"], fields["blocks"], fields["route"]) == ("55", "6", "mixed")
+        assert 10 <= int(fields["quantile_pairs"]) < 55
 
 
 def test_coverage_eval_rejects_draw_truth_mismatch(rng):
@@ -539,6 +643,15 @@ class TestPredictiveIntervals:
         y = self.sample_from(model, 400, seed=11)
         cov = predictive_interval_coverage(model, y, 0.5)
         assert abs(cov - 0.50) < 0.03
+
+    @pytest.mark.parametrize("level, z_ref", [
+        # exact quantiles at the double 0.5 + level / 2, to 17 digits
+        (0.5, 0.67448975019608174), (0.8, 1.2815515655446006),
+        (0.9, 1.6448536269514723), (0.95, 1.9599639845400539),
+        (0.99, 2.5758293035489005), (0.999, 3.2905267314919258),
+    ])
+    def test_z_is_the_normal_quantile(self, level, z_ref):
+        assert abs(evalsim._central_z(level) - z_ref) <= 4 * np.spacing(z_ref)
 
     def test_exact_dependence_full_coverage(self):
         model = CovarianceModel(
