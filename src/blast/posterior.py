@@ -6,10 +6,9 @@ ridge regression with a normal-inverse-gamma prior, so the posterior is
 closed-form.  Credible intervals from the raw posterior undercover; the
 per-pair inflation factors b (and their mean/max summaries rho) widen the
 conditional loading variance to restore asymptotic frequentist coverage.
-The exact sum over the p(p-1)/2 pairs takes each block of rows through two
-BLAS matrix products over "lifted" per-outcome features, whose inner
-products are each pair's numerator and denominator; above _EXACT_PAIR_FLOPS
-a fixed uniform subsample of pairs stands in for it.
+The sum runs exactly over all p(p-1)/2 pairs, at every p: each block of
+rows goes through two BLAS matrix products over "lifted" per-outcome
+features, whose inner products are each pair's numerator and denominator.
 Draw t takes all of its variates from one counter-based RNG substream keyed
 by (seed, "draw", t), so output never depends on the parallel schedule.
 """
@@ -35,10 +34,6 @@ from .spectral import FactorEstimates, LatentDims, MultiStudyDataset, estimate_f
 
 logger = logging.getLogger(__name__)
 
-# Above this many (pairs x rank) flops the mean inflation switches to a
-# uniform subsample of pairs.
-_EXACT_PAIR_FLOPS = 1e9
-_PAIR_SUBSAMPLE = 1_000_000
 # Rows per block of the exact pair sum.
 _PAIR_ROWS = 64
 
@@ -305,27 +300,6 @@ def _pair_summary(zl, zr, dl, dr, diag_b):
             float(np.max(np.maximum(diag_b, row_max))))
 
 
-def _pair_summary_sampled(num_den_pairs_fn, diag_b, p):
-    """Subsampled mean over off-diagonal pairs; max over sample and diagonal.
-
-    The subsample estimates a deterministic mean, so it comes from one fixed
-    stream rather than the run seed.
-    """
-    rng = derive_stream(0, ("inflation", "pairs")).generator()
-    m = _PAIR_SUBSAMPLE
-    i = rng.integers(0, p, size=m)
-    j = rng.integers(0, p - 1, size=m)
-    j = np.where(j >= i, j + 1, j)  # uniform over ordered pairs i != j
-    num, den = num_den_pairs_fn(i, j)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(den > 0.0, num / den, 0.0)
-    b = np.sqrt(1.0 + ratio)
-    n_pairs = p * (p - 1) / 2.0
-    mean = float(np.mean(b)) + float(np.sum(diag_b)) / n_pairs
-    best = max(float(np.max(b)), float(np.max(diag_b)))
-    return mean, best
-
-
 def inflation_lambda(mu_lambda, v_j, strategy="mean", fixed=None) -> float:
     """Variance-inflation factor for the shared loadings.
 
@@ -360,7 +334,6 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None) -> 
         raise DegenerateVarianceError("some residual variance V_j is zero")
     t0 = time.perf_counter()
     q, k = mu_gamma_s.shape[1], mu_lambda.shape[1]
-    exact = p * p * max(q + k, 1) <= _EXACT_PAIR_FLOPS
     # data of extreme scale overflow in the pair products and leave NaN or
     # inf in rho; _require_finite reports it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -369,21 +342,10 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None) -> 
         # V_j estimates the residual variance sigma_j^2 and substitutes it
         # directly in the oracle factors.
         diag_b = np.sqrt(1.0 + (ng + 2.0 * nl) / (2.0 * v_j))
-        if exact:
-            mean, best = _pair_summary(*_lifted_features(mu_gamma_s, mu_lambda, v_j, ng, nl),
-                                       diag_b)
-        else:
-            def pairs(i, j):
-                gg = np.sum(mu_gamma_s[i] * mu_gamma_s[j], axis=1)
-                gl = np.sum(mu_lambda[i] * mu_lambda[j], axis=1)
-                num = ng[i] * ng[j] + gg**2 + ng[i] * nl[j] + nl[i] * ng[j] + 2.0 * gg * gl
-                den = v_j[i] * ng[j] + ng[i] * v_j[j]
-                return num, den
-
-            mean, best = _pair_summary_sampled(pairs, diag_b, p)
-    logger.debug("event=inflation route=%s p=%d width=%d seconds=%.6f",
-                 "exact" if exact else "sampled", p, q * (q + k) + 3,
-                 time.perf_counter() - t0)
+        mean, best = _pair_summary(*_lifted_features(mu_gamma_s, mu_lambda, v_j, ng, nl),
+                                   diag_b)
+    logger.debug("event=inflation p=%d width=%d seconds=%.6f",
+                 p, q * (q + k) + 3, time.perf_counter() - t0)
     return mean if strategy == "mean" else best
 
 

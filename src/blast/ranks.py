@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateSignalError, DegenerateVarianceError, DimensionError
 from .numerics import _check_matrix, parallel_map, truncated_svd
-from .spectral import LatentDims, MultiStudyDataset, shared_basis
+from .spectral import LatentDims, MultiStudyDataset, projection_weights, shared_basis
 
 logger = logging.getLogger(__name__)
 
@@ -204,6 +204,7 @@ def require_dims(report: RankReport, tau) -> LatentDims:
 def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
                        weighting="uniform", threads=1) -> RankReport:
     """Like select_dims but returns the full trace, including the k0 = 0 case."""
+    weights = projection_weights(dataset, weighting)
     k_max = cfg.resolve_k_max(dataset)
     eff_cfg = RankSelectionConfig(k_max=k_max, tau=cfg.tau)
 
@@ -221,9 +222,6 @@ def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
         if k_hat == k_max:
             logger.warning("event=k_max_saturated study=%d k_hat=%d k_max=%d", s, k_hat, k_max)
 
-    weights = None
-    if weighting == "by_n":
-        weights = np.asarray(dataset.n_s, dtype=np.float64) / dataset.n_total
     _, spectrum = shared_basis(bases, 1, weights=weights)
     k0 = select_shared_rank(spectrum, k_hat_s, eff_cfg.tau)
     if k0 == 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DegenerateSignalError, DimensionError
+from .errors import DataError, DegenerateSignalError, DimensionError, ParameterError
 from .numerics import _check_matrix, parallel_map, truncated_svd
 
 _RANK_TOL = 1e-12
@@ -234,6 +234,16 @@ def _split_rows(stacked, n_s):
     return tuple(stacked[offsets[s] : offsets[s + 1]] for s in range(len(n_s)))
 
 
+def projection_weights(dataset: MultiStudyDataset, weighting):
+    """Study weights of the averaged projector for `shared_basis`: None
+    (equal weights) for "uniform", sample-size shares for "by_n"."""
+    if weighting == "uniform":
+        return None
+    if weighting == "by_n":
+        return np.asarray(dataset.n_s, dtype=np.float64) / dataset.n_total
+    raise ParameterError(f"unknown projection weighting {weighting!r}")
+
+
 def estimate_factors(
     dataset: MultiStudyDataset,
     dims: LatentDims,
@@ -247,11 +257,7 @@ def estimate_factors(
     result is identical to sequential execution.
     """
     dims.validate_for(dataset)
-    if weighting not in ("uniform", "by_n"):
-        raise DimensionError(f"unknown projection weighting {weighting!r}")
-    weights = None
-    if weighting == "by_n":
-        weights = np.asarray(dataset.n_s, dtype=np.float64) / dataset.n_total
+    weights = projection_weights(dataset, weighting)
 
     bases = parallel_map(
         lambda s: study_right_basis(dataset.studies[s], dims.k_s[s]),

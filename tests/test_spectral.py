@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blast.errors import DegenerateSignalError, DimensionError
+from blast.errors import DegenerateSignalError, DimensionError, ParameterError
 from blast.evalsim import SimScenario, generate, procrustes_error
+from blast.ranks import RankSelectionConfig, select_dims_report
 from blast.spectral import (
     LatentDims,
     MultiStudyDataset,
@@ -218,6 +219,15 @@ class TestEstimateFactors:
         fe_w = estimate_factors(ds, dims, weighting="by_n")
         # both valid; weighted averaging changes the spectrum
         assert not np.allclose(fe_u.p_tilde_spectrum, fe_w.p_tilde_spectrum)
+
+    def test_unknown_weighting_is_a_parameter_error(self):
+        # a setting typo exits 2 (ConfigError), and rank selection must not
+        # quietly average uniformly instead
+        ds, _ = generate(SimScenario(n_studies=2, n_per_study=30, p=25, k0=2, q_s=2, seed=21))
+        with pytest.raises(ParameterError, match="by-n"):
+            select_dims_report(ds, RankSelectionConfig(k_max=6), weighting="by-n")
+        with pytest.raises(ParameterError, match="by-n"):
+            estimate_factors(ds, LatentDims(k0=2, k_s=(4, 4), q_s=(2, 2)), weighting="by-n")
 
     def test_dims_validation(self, rng):
         ds, _ = generate(SimScenario(n_studies=2, n_per_study=10, p=25, k0=2, q_s=2, seed=2))
