@@ -266,21 +266,22 @@ def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
     rng = stream.generator()
     idx = np.sort(rng.permutation(p)[:submatrix])
 
-    shared = _pair_coverage(draws.lambda_tilde[:, idx], truth.lambda0[idx], level)
+    shared = _pair_coverage(draws.lambda_tilde, truth.lambda0, level, idx)
     specific = []
     for s, gamma0 in enumerate(truth.gamma0_s):
         if gamma0.shape[1] == 0:
             specific.append(float("nan"))
             continue
-        specific.append(_pair_coverage(draws.gamma_tilde_s[s][:, idx], gamma0[idx], level))
+        specific.append(_pair_coverage(draws.gamma_tilde_s[s], gamma0, level, idx))
     return shared, tuple(specific)
 
 
-def _triangle_blocks(draw_rows, truth_rows):
+def _triangle_blocks(draw_rows, truth_rows, idx=None):
     """Yield the upper-triangle pair products rows[i] . rows[j], i <= j, in
     the pair order of np.triu_indices(m), as (n, T+1) blocks of at most
     `_PAIR_BLOCK` pairs: columns 0..T-1 are the T draws (draw_rows is
-    (T, m, k)) and column T is the truth (truth_rows is (m, k')).
+    (T, p, k)) and column T is the truth (truth_rows is (p, k')), both
+    restricted to the m outcomes `idx` (all p when None).
 
     The truth rides along as draw T, and both are zero-padded to the wider
     rank, so its products come from the same kernel and summation order as
@@ -288,11 +289,15 @@ def _triangle_blocks(draw_rows, truth_rows):
     Each block is a view of one reused buffer, valid until the
     next block is requested.
     """
-    t, m, k_draw = draw_rows.shape
+    t, p, k_draw = draw_rows.shape
     k_truth = truth_rows.shape[1]
+    if idx is None:
+        idx = np.arange(p)
+    m = idx.size
     at = np.zeros((m, max(k_draw, k_truth), t + 1))
-    at[:, :k_draw, :t] = draw_rows.transpose(1, 2, 0)
-    at[:, :k_truth, t] = truth_rows
+    for row, j in zip(at, idx):  # outcome by outcome: no (T, m, k) gather
+        row[:k_draw, :t] = draw_rows[:, j].T
+    at[:, :k_truth, t] = truth_rows[idx]
     size = min(_PAIR_BLOCK, m * (m + 1) // 2)
     buf = np.empty((size, t + 1))
     n = 0
@@ -312,9 +317,10 @@ def _triangle_blocks(draw_rows, truth_rows):
         yield buf[:n]
 
 
-def _pair_coverage(draw_rows, truth_rows, level):
-    # draw_rows: (T, m, k), truth_rows: (m, k'); returns the covered share
-    # of the m(m+1)/2 pairs, decided block by block.
+def _pair_coverage(draw_rows, truth_rows, level, idx=None):
+    # draw_rows: (T, p, k), truth_rows: (p, k'); returns the covered share
+    # of the m(m+1)/2 pairs among the outcomes idx (all p when None),
+    # decided block by block.
     t0 = time.perf_counter()
     n_draws = draw_rows.shape[0]
     alpha = (1.0 - level) / 2.0
@@ -328,7 +334,7 @@ def _pair_coverage(draw_rows, truth_rows, level):
     a, b = np.floor((n_draws - 1) * quantiles).astype(np.intp)
     pairs = covered_pairs = quantile_pairs = 0
     routes = []
-    for block in _triangle_blocks(draw_rows, truth_rows):
+    for block in _triangle_blocks(draw_rows, truth_rows, idx):
         prods, target = block[:, :n_draws], block[:, n_draws]
         # false for a nan or inf product too (np.max propagates nan)
         if np.abs([prods.min(), prods.max()]).max() < 2.0**1022:
@@ -367,16 +373,23 @@ def _woodbury_pieces(w, diag):
     return dinv, core
 
 
-def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
-    """Gaussian conditional mean and per-coordinate variance of the
-    unobserved outcomes given the observed ones.
+@dataclass(frozen=True)
+class _ConditioningPlan:
+    """What conditioning on one observed set of one model needs, whatever
+    the observed values: the Woodbury pieces (`core` and the scaled `w_o`,
+    or `sigma_oo` for the dense fallback) and the predictive variance."""
 
-    Works through the low-rank-plus-diagonal structure: only r x r systems
-    are solved, where r is the total factor rank.
-    """
-    observed_idx = np.asarray(observed_idx, dtype=np.intp)
-    observed_vals = np.asarray(observed_vals, dtype=np.float64)
-    p = cov.p
+    target_idx: np.ndarray
+    w_o: np.ndarray
+    w_t: np.ndarray
+    dinv: np.ndarray | None
+    core: np.ndarray | None
+    w_o_dinv: np.ndarray | None
+    sigma_oo: np.ndarray | None
+    var: np.ndarray
+
+
+def _check_observed_idx(observed_idx, p):
     if observed_idx.size == 0:
         raise ParameterError("observed index set is empty")
     if observed_idx.size != np.unique(observed_idx).size:
@@ -385,12 +398,12 @@ def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
         raise DimensionError(f"observed indices outside [0, {p})")
     if observed_idx.size >= p:
         raise ParameterError("observed set must be a proper subset of the outcomes")
-    if observed_vals.ndim != 1:
-        raise DimensionError(f"observed values must be one row (1-D), got shape "
-                             f"{observed_vals.shape}")
-    if observed_vals.shape[0] != observed_idx.size:
-        raise DimensionError("observed values and indices disagree in length")
 
+
+def _conditional_plan(cov: CovarianceModel, observed_idx):
+    """Build the conditioning plan of a checked observed index set; raises
+    InvalidCovarianceError where the observed block cannot be inverted."""
+    p = cov.p
     mask = np.ones(p, dtype=bool)
     mask[observed_idx] = False
     target_idx = np.nonzero(mask)[0]
@@ -402,15 +415,13 @@ def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
     if np.any(cov.variances()[observed_idx] <= 0.0):
         raise InvalidCovarianceError("observed-block covariance has a nonpositive diagonal")
 
-    y = observed_vals
+    dinv = core = w_o_dinv = sigma_oo = None
     floor = 1e-12 * max(float(np.max(d_o)), float(np.max(np.sum(w_o**2, axis=1))), 1.0)
     if np.min(d_o) > floor:
         dinv, core = _woodbury_pieces(w_o, d_o)
-        # Sigma_oo^{-1} y = D^{-1} y - D^{-1} W (I + W^T D^{-1} W)^{-1} W^T D^{-1} y
-        dy = dinv * y
-        siy = dy - (w_o * dinv[:, None]) @ np.linalg.solve(core, w_o.T @ dy)
-        # A = W_o^T Sigma_oo^{-1} W_o via the same identity
-        b = (w_o * dinv[:, None]).T @ w_o
+        w_o_dinv = w_o * dinv[:, None]
+        # A = W_o^T Sigma_oo^{-1} W_o via the Woodbury identity
+        b = w_o_dinv.T @ w_o
         a = b - b @ np.linalg.solve(core, b)
     else:
         # singular diagonal: fall back to a dense solve on the observed block
@@ -420,15 +431,53 @@ def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
             )
         sigma_oo = w_o @ w_o.T + np.diag(d_o)
         try:
-            siy = np.linalg.solve(sigma_oo, y)
             a = w_o.T @ np.linalg.solve(sigma_oo, w_o)
         except np.linalg.LinAlgError:
             raise InvalidCovarianceError("observed-block covariance is singular") from None
-    mean = w_t @ (w_o.T @ siy)
     cross_var = np.sum((w_t @ a) * w_t, axis=1)
     var = np.sum(w_t**2, axis=1) + cov.diag_add[target_idx] - cross_var
     var = np.maximum(var, 0.0)
-    return mean, var, target_idx
+    return _ConditioningPlan(target_idx, w_o, w_t, dinv, core, w_o_dinv, sigma_oo, var)
+
+
+def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
+    """Gaussian conditional mean and per-coordinate variance of the
+    unobserved outcomes given the observed ones.
+
+    Works through the low-rank-plus-diagonal structure: only r x r systems
+    are solved, where r is the total factor rank.  Everything that does not
+    depend on the observed values is planned once per (model, observed set)
+    and kept on the model for the next call with the same set, so the
+    model's arrays must not be changed in place after a call.
+    """
+    observed_idx = np.asarray(observed_idx, dtype=np.intp)
+    observed_vals = np.asarray(observed_vals, dtype=np.float64)
+    key = (observed_idx.shape, observed_idx.tobytes())
+    plan = cov._plans.get(key)
+    if plan is None:  # a cached plan's index set has passed these checks
+        _check_observed_idx(observed_idx, cov.p)
+    if observed_vals.ndim != 1:
+        raise DimensionError(f"observed values must be one row (1-D), got shape "
+                             f"{observed_vals.shape}")
+    if observed_vals.shape[0] != observed_idx.size:
+        raise DimensionError("observed values and indices disagree in length")
+    if plan is None:
+        plan = _conditional_plan(cov, observed_idx)
+        cov._plans.clear()
+        cov._plans[key] = plan
+
+    y = observed_vals
+    if plan.sigma_oo is None:
+        # Sigma_oo^{-1} y = D^{-1} y - D^{-1} W (I + W^T D^{-1} W)^{-1} W^T D^{-1} y
+        dy = plan.dinv * y
+        siy = dy - plan.w_o_dinv @ np.linalg.solve(plan.core, plan.w_o.T @ dy)
+    else:
+        try:
+            siy = np.linalg.solve(plan.sigma_oo, y)
+        except np.linalg.LinAlgError:
+            raise InvalidCovarianceError("observed-block covariance is singular") from None
+    mean = plan.w_t @ (plan.w_o.T @ siy)
+    return mean, plan.var.copy(), plan.target_idx.copy()
 
 
 def gaussian_loglik(cov: CovarianceModel, y_test) -> float:

@@ -11,6 +11,7 @@ validates against a shipped schema.
 
 import contextlib
 import csv
+import functools
 import importlib.resources
 import itertools
 import json
@@ -290,10 +291,25 @@ def _load_schema(name):
     return json.loads(ref.read_text())
 
 
-def validate_json(obj, schema):
+@functools.cache
+def _validator(name):
+    """The validator of the shipped schema `name`, built and its schema
+    checked against the metaschema once per process."""
     import jsonschema
 
-    jsonschema.validate(obj, _load_schema(schema))
+    schema = _load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_json(obj, schema):
+    """Raise the jsonschema.ValidationError that jsonschema.validate would."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_validator(schema).iter_errors(obj))
+    if error is not None:
+        raise error
 
 
 def write_json(path, obj, schema=None):

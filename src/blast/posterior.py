@@ -30,7 +30,13 @@ from .errors import (
 )
 from .numerics import RngStream, derive_stream, parallel_map
 from .ranks import RankSelectionConfig, require_dims, select_dims_report
-from .spectral import FactorEstimates, LatentDims, MultiStudyDataset, estimate_factors
+from .spectral import (
+    PROJECTION_WEIGHTINGS,
+    FactorEstimates,
+    LatentDims,
+    MultiStudyDataset,
+    estimate_factors,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -132,6 +138,9 @@ class CovarianceModel:
     lambda_hat: np.ndarray
     gamma_hat: np.ndarray
     diag_add: np.ndarray
+    # evalsim.conditional_predict's plan for the last observed set, so the
+    # arrays above must not change in place once a prediction has run
+    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p = self.diag_add.shape[0]
@@ -502,7 +511,7 @@ class BlastConfig:
             raise ParameterError(f"n_mc must be >= 0, got {self.n_mc}")
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
-        if self.projection_weighting not in ("uniform", "by_n"):
+        if self.projection_weighting not in PROJECTION_WEIGHTINGS:
             raise ParameterError(f"unknown projection_weighting {self.projection_weighting!r}")
 
 

@@ -19,6 +19,8 @@ from .errors import DataError, DegenerateSignalError, DimensionError, ParameterE
 from .numerics import _check_matrix, parallel_map, truncated_svd
 
 _RANK_TOL = 1e-12
+# the names `projection_weights` decides
+PROJECTION_WEIGHTINGS = ("uniform", "by_n")
 
 
 @dataclass(frozen=True)
@@ -213,14 +215,13 @@ def shared_factors(dataset: MultiStudyDataset, u_perp_s, k0):
     decomposed once and m_hat = sqrt(n) u_c, with u_c its leading-k0 left
     singular vectors.  Returns (m_hat, m_hat_s, y_c, d_c, v_c).
     """
-    blocks = []
-    for y_s, u_perp in zip(dataset.studies, u_perp_s):
+    n = dataset.n_total
+    y_c = np.empty((n, dataset.p))
+    for rows, y_s, u_perp in zip(_split_rows(y_c, dataset.n_s), dataset.studies, u_perp_s):
         if u_perp.shape[1] == 0:
-            blocks.append(y_s.copy())
+            rows[...] = y_s
         else:
-            blocks.append(y_s - u_perp @ (u_perp.T @ y_s))
-    y_c = np.vstack(blocks)
-    n = y_c.shape[0]
+            np.subtract(y_s, u_perp @ (u_perp.T @ y_s), out=rows)
     fac = truncated_svd(y_c, k0)
     if fac.singvals[-1] < _RANK_TOL * max(fac.singvals[0], _RANK_TOL):
         raise DegenerateSignalError(f"shared-signal matrix has numerical rank < k0={k0}")
@@ -237,11 +238,11 @@ def _split_rows(stacked, n_s):
 def projection_weights(dataset: MultiStudyDataset, weighting):
     """Study weights of the averaged projector for `shared_basis`: None
     (equal weights) for "uniform", sample-size shares for "by_n"."""
+    if weighting not in PROJECTION_WEIGHTINGS:
+        raise ParameterError(f"unknown projection weighting {weighting!r}")
     if weighting == "uniform":
         return None
-    if weighting == "by_n":
-        return np.asarray(dataset.n_s, dtype=np.float64) / dataset.n_total
-    raise ParameterError(f"unknown projection weighting {weighting!r}")
+    return np.asarray(dataset.n_s, dtype=np.float64) / dataset.n_total
 
 
 def estimate_factors(

@@ -244,9 +244,12 @@ class TestCoverageEval:
         assert np.isnan(cov_g[0])
 
 
-def einsum_pair_coverage(draw_rows, truth_rows, level):
+def einsum_pair_coverage(draw_rows, truth_rows, level, idx=None):
     """Reference: all (T, m, m) products, quantiles over the draw axis, then
-    the upper triangle of the covered mask."""
+    the upper triangle of the covered mask, on the outcomes idx (all when
+    None)."""
+    if idx is not None:
+        draw_rows, truth_rows = draw_rows[:, idx], truth_rows[idx]
     prods = np.einsum("tik,tjk->tij", draw_rows, draw_rows)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(prods, [alpha, 1.0 - alpha], axis=0)
@@ -348,6 +351,34 @@ class TestTriangleBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < bound_mb * 1e6, (m, peak / 1e6)
+
+    def test_coverage_eval_gathers_no_draw_copy(self):
+        # no (T, m, k) copy of the subset's draws: coverage_eval peaks where
+        # _pair_coverage on a view of the same draws does
+        g = np.random.default_rng(9)
+        p, t, k = 200, 500, 5
+        draws = DrawSet(lambda_tilde=g.standard_normal((t, p, k)),
+                        gamma_tilde_s=(np.zeros((t, p, 0)),), sigma_tilde_sq=np.ones((t, p)))
+        truth = SimTruth(lambda0=g.standard_normal((p, k)), gamma0_s=(np.zeros((p, 0)),),
+                         sigma0_sq=np.ones(p), m0_s=(), f0_s=())
+
+        def peak(fn, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                fn(*args, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stream = derive_stream(3, ("c",))
+        coverage_eval(draws, truth, submatrix=50, stream=stream)  # one-time set-up
+        for m in (100, 200):
+            idx = np.sort(stream.generator().permutation(p)[:m])
+            full = peak(coverage_eval, draws, truth, submatrix=m, stream=stream)
+            view = peak(evalsim._pair_coverage, draws.lambda_tilde[:, :m], truth.lambda0[:m], 0.95)
+            assert full < view + t * m * k * 8 / 4, (m, full / 1e6, view / 1e6)
+            assert evalsim._pair_coverage(draws.lambda_tilde, truth.lambda0, 0.95, idx) == \
+                evalsim._pair_coverage(draws.lambda_tilde[:, idx], truth.lambda0[idx], 0.95)
 
 
 @st.composite
@@ -582,6 +613,135 @@ class TestConditionalPredict:
                                 diag_add=np.full(4, 1e-310))
         with pytest.raises(InvalidCovarianceError):
             conditional_predict(model, [0, 1, 2], [0.5, 0.5, 0.5])
+
+
+def per_row_predict(cov, observed_idx, y):
+    """Reference: the conditioning of one row with nothing planned ahead, as
+    `conditional_predict` computed it before plans were kept per observed set."""
+    p = cov.p
+    mask = np.ones(p, dtype=bool)
+    mask[observed_idx] = False
+    target_idx = np.nonzero(mask)[0]
+    w = cov.factors()
+    w_o = w[observed_idx]
+    w_t = w[target_idx]
+    d_o = cov.diag_add[observed_idx]
+    floor = 1e-12 * max(float(np.max(d_o)), float(np.max(np.sum(w_o**2, axis=1))), 1.0)
+    if np.min(d_o) > floor:
+        dinv, core = evalsim._woodbury_pieces(w_o, d_o)
+        dy = dinv * y
+        siy = dy - (w_o * dinv[:, None]) @ np.linalg.solve(core, w_o.T @ dy)
+        b = (w_o * dinv[:, None]).T @ w_o
+        a = b - b @ np.linalg.solve(core, b)
+    else:
+        sigma_oo = w_o @ w_o.T + np.diag(d_o)
+        siy = np.linalg.solve(sigma_oo, y)
+        a = w_o.T @ np.linalg.solve(sigma_oo, w_o)
+    mean = w_t @ (w_o.T @ siy)
+    cross_var = np.sum((w_t @ a) * w_t, axis=1)
+    var = np.sum(w_t**2, axis=1) + cov.diag_add[target_idx] - cross_var
+    return mean, np.maximum(var, 0.0), target_idx
+
+
+def fresh_copy(model):
+    return CovarianceModel(model.lambda_hat.copy(), model.gamma_hat.copy(),
+                           model.diag_add.copy())
+
+
+class TestConditioningPlan:
+    @staticmethod
+    def woodbury_case():
+        g = np.random.default_rng(41)
+        model = CovarianceModel(lambda_hat=g.standard_normal((60, 3)),
+                                gamma_hat=g.standard_normal((60, 2)),
+                                diag_add=g.uniform(0.5, 2.0, 60))
+        return model, np.sort(g.permutation(60)[:30]), g.standard_normal((25, 30))
+
+    @staticmethod
+    def dense_case():
+        # two zero entries on the observed diagonal: the dense fallback
+        g = np.random.default_rng(42)
+        obs = np.sort(g.permutation(20)[:10])
+        diag = g.uniform(0.5, 2.0, 20)
+        diag[obs[:2]] = 0.0
+        model = CovarianceModel(lambda_hat=g.standard_normal((20, 3)),
+                                gamma_hat=np.zeros((20, 0)), diag_add=diag)
+        return model, obs, g.standard_normal((25, 10))
+
+    @pytest.mark.parametrize("case", ["woodbury_case", "dense_case"])
+    def test_repeated_rows_bit_equal_oracle(self, case):
+        model, obs, rows = getattr(self, case)()
+        for y in rows:
+            mean, var, target = conditional_predict(model, obs, y)
+            mean_o, var_o, target_o = per_row_predict(model, obs, y)
+            assert np.array_equal(mean, mean_o) and np.array_equal(var, var_o)
+            assert np.array_equal(target, target_o)
+        assert len(model._plans) == 1
+        plan = next(iter(model._plans.values()))
+        assert (plan.sigma_oo is None) == (case == "woodbury_case")
+
+    def test_plan_built_once_per_observed_set(self, monkeypatch):
+        model, obs, rows = self.woodbury_case()
+        built = []
+        plan_fn = evalsim._conditional_plan
+        monkeypatch.setattr(evalsim, "_conditional_plan",
+                            lambda *a: built.append(1) or plan_fn(*a))
+        monkeypatch.setattr(evalsim, "conditional_predict",
+                            mock.Mock(wraps=evalsim.conditional_predict))
+        y = np.random.default_rng(6).standard_normal((25, 60))
+        prediction_nmse(model, y, observed_idx=obs)
+        predictive_interval_coverage(model, y, 0.9, observed_idx=obs)
+        assert len(built) == 1
+        assert evalsim.conditional_predict.call_count == 2 * len(y)
+
+    def test_switching_observed_sets_uses_no_stale_plan(self):
+        model, obs, rows = self.woodbury_case()
+        other = np.sort(np.random.default_rng(5).permutation(60)[:30])
+        for idx in (obs, other, obs, other[:-3], obs):
+            y = rows[0, : idx.size]
+            got = conditional_predict(model, idx, y)
+            want = conditional_predict(fresh_copy(model), idx, y)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        assert len(model._plans) == 1
+
+    def test_returned_arrays_do_not_alias_the_plan(self):
+        model, obs, rows = self.woodbury_case()
+        mean, var, target = conditional_predict(model, obs, rows[0])
+        var[:] = -1.0
+        target[:] = 0
+        _, var2, target2 = conditional_predict(model, obs, rows[0])
+        assert np.array_equal(var2, per_row_predict(model, obs, rows[0])[1])
+        assert np.array_equal(target2, np.setdiff1d(np.arange(60), obs))
+
+    @pytest.mark.parametrize("idx, error", [
+        ([], ParameterError), ([1, 1], ParameterError), (np.arange(60), ParameterError),
+        ([0, 60], DimensionError), ([-1, 3], DimensionError),
+    ])
+    def test_bad_observed_set_still_raises_after_a_plan(self, idx, error):
+        model, obs, rows = self.woodbury_case()
+        conditional_predict(model, obs, rows[0])
+        with pytest.raises(error):
+            conditional_predict(model, idx, np.zeros(len(idx)))
+
+    @pytest.mark.parametrize("shape", [(3, 30), (30, 1), (1, 30), ()])
+    def test_two_d_values_still_raise_after_a_plan(self, shape):
+        model, obs, rows = self.woodbury_case()
+        conditional_predict(model, obs, rows[0])
+        with pytest.raises(DimensionError, match="must be one row"):
+            conditional_predict(model, obs, np.zeros(shape))
+        with pytest.raises(DimensionError, match="disagree in length"):
+            conditional_predict(model, obs, np.zeros(29))
+
+    def test_index_errors_come_before_value_and_covariance_errors(self):
+        bad = diag_model(np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ParameterError, match="empty"):
+            conditional_predict(bad, [], np.zeros((2, 2)))
+        with pytest.raises(DimensionError, match="one row"):
+            conditional_predict(bad, [1], np.zeros((1, 1)))
+        with pytest.raises(InvalidCovarianceError):
+            conditional_predict(bad, [1], [0.0])
+        assert not bad._plans
 
 
 class TestGaussianLoglik:

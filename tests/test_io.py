@@ -1,8 +1,10 @@
 import csv
+import json
 import logging
 import struct
 from io import StringIO
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,3 +319,49 @@ class TestWriteDataset:
         assert loaded.outcome_names == tuple(n.strip() for n in self.NAMES)
         for study in loaded.studies:
             assert study.tobytes() == self.VALUES.tobytes()
+
+
+class TestJsonValidation:
+    # (schema, instance, ParseError text of read_json as jsonschema.validate gave it)
+    CASES = [
+        ("predict_report",
+         {"level": 1.5, "split": {"mode": "x"}, "studies": [{"study": "a"}], "total_loglik": "no"},
+         "schema violation at ['total_loglik']: 'no' is not of type 'number'"),
+        ("run_config", {"projection_weighting": "by-n", "n_mc": -3, "extra": 1},
+         "schema violation at []: Additional properties are not allowed ('extra' was unexpected)"),
+        ("timings", [], "schema violation at []: [] is not of type 'object'"),
+    ]
+
+    @pytest.mark.parametrize("schema, obj, message", CASES)
+    def test_parse_error_text_unchanged(self, tmp_path, schema, obj, message):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError) as exc:
+            io.read_json(path, schema=schema)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("schema, obj, message", CASES)
+    def test_error_is_the_one_jsonschema_validate_raises(self, schema, obj, message):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(obj, io._load_schema(schema))
+        with pytest.raises(jsonschema.ValidationError) as got:
+            io.validate_json(obj, schema)
+        assert (got.value.message, list(got.value.absolute_path), got.value.validator) == \
+            (want.value.message, list(want.value.absolute_path), want.value.validator)
+
+    def test_schema_checked_once_per_schema(self, monkeypatch):
+        cls = jsonschema.validators.validator_for(io._load_schema("timings"))
+        checked = []
+        check = cls.check_schema
+        monkeypatch.setattr(cls, "check_schema",
+                            lambda schema, **kw: checked.append(schema["title"]) or check(schema))
+        io._validator.cache_clear()
+        try:
+            for _ in range(5):
+                io.validate_json({"level": 0.9, "studies": []}, "predict_report")
+                with pytest.raises(jsonschema.ValidationError):
+                    io.validate_json([], "timings")
+        finally:
+            io._validator.cache_clear()
+        assert sorted(checked) == sorted({io._load_schema(name)["title"]
+                                          for name in ("predict_report", "timings")})

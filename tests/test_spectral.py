@@ -3,8 +3,10 @@ import pytest
 
 from blast.errors import DegenerateSignalError, DimensionError, ParameterError
 from blast.evalsim import SimScenario, generate, procrustes_error
+from blast.posterior import BlastConfig
 from blast.ranks import RankSelectionConfig, select_dims_report
 from blast.spectral import (
+    PROJECTION_WEIGHTINGS,
     LatentDims,
     MultiStudyDataset,
     estimate_factors,
@@ -146,6 +148,17 @@ class TestSharedFactors:
         _, _, y_c, _, _ = shared_factors(ds, (u_perp, np.zeros((8, 0))), 1)
         assert np.max(np.abs(y_c[:10])) <= 1e-10
 
+    def test_y_c_bit_equal_to_stacked_blocks(self, rng):
+        # one study with q_s = 0 (a plain copy), one with specific factors
+        ds, _ = generate(SimScenario(n_studies=2, n_per_study=(30, 45), p=20, k0=2,
+                                     q_s=(0, 2), seed=9))
+        u_perp_s = (np.zeros((30, 0)), random_orthonormal(rng, 45, 2))
+        _, _, y_c, _, _ = shared_factors(ds, u_perp_s, 2)
+        y0, y1 = ds.studies
+        u = u_perp_s[1]
+        want = np.vstack([y0, y1 - u @ (u.T @ y1)])
+        assert y_c.flags.c_contiguous and y_c.tobytes() == want.tobytes()
+
     def test_block_orthogonality_identity(self, rng):
         ds, truth = generate(SimScenario(n_studies=3, n_per_study=40, p=30, k0=2, q_s=2, seed=5))
         dims = LatentDims(k0=2, k_s=(4, 4, 4), q_s=(2, 2, 2))
@@ -228,6 +241,15 @@ class TestEstimateFactors:
             select_dims_report(ds, RankSelectionConfig(k_max=6), weighting="by-n")
         with pytest.raises(ParameterError, match="by-n"):
             estimate_factors(ds, LatentDims(k0=2, k_s=(4, 4), q_s=(2, 2)), weighting="by-n")
+
+    def test_config_checks_the_names_spectral_decides(self):
+        with pytest.raises(ParameterError, match="by-n"):
+            BlastConfig(projection_weighting="by-n")
+        ds, _ = generate(SimScenario(n_studies=2, n_per_study=(30, 60), p=25, k0=2,
+                                     q_s=2, seed=21))
+        for name in PROJECTION_WEIGHTINGS:
+            BlastConfig(projection_weighting=name)
+            estimate_factors(ds, LatentDims(k0=2, k_s=(4, 4), q_s=(2, 2)), weighting=name)
 
     def test_dims_validation(self, rng):
         ds, _ = generate(SimScenario(n_studies=2, n_per_study=10, p=25, k0=2, q_s=2, seed=2))
