@@ -177,14 +177,14 @@ def estimate_hyperparams(dataset: MultiStudyDataset, fe: FactorEstimates,
     omega = float(np.sum(v_j))
     theta = float(np.sum(fe.d_c**2) / n)
     # zero up to roundoff, relative to the total energy of the shared fit
-    floor = 1e-12 * float(np.sum(fe.y_c**2)) / n
+    floor = 1e-12 * float(np.sum(fe.yc_col_sq)) / n
     if omega <= floor:
         raise DegenerateSignalError("summed residual variances are zero (noise-free data)")
     if theta <= floor:
         raise DegenerateSignalError("captured shared-signal energy is zero")
     tau_lambda_sq = theta / (dims.k0 * omega)
 
-    mu_prov = fe.y_c.T @ fe.m_hat / (n + 1.0)  # provisional fit, prior scale 1
+    mu_prov = fe.yc_t_m / (n + 1.0)  # provisional fit, prior scale 1
     tau_gamma_sq = []
     for s, y_s in enumerate(dataset.studies):
         if dims.q_s[s] == 0:
@@ -203,9 +203,8 @@ def estimate_hyperparams(dataset: MultiStudyDataset, fe: FactorEstimates,
 
 
 def _residual_variances(fe: FactorEstimates):
-    col_sq = np.sum(fe.y_c**2, axis=0)
     captured = np.sum((fe.v_c * fe.d_c) ** 2, axis=1)
-    return np.maximum(col_sq - captured, 0.0) / fe.n_total
+    return np.maximum(fe.yc_col_sq - captured, 0.0) / fe.n_total
 
 
 def nig_update(m_hat, y, tau_sq, nu0=1.0, sigma0_sq=1.0):
@@ -217,12 +216,17 @@ def nig_update(m_hat, y, tau_sq, nu0=1.0, sigma0_sq=1.0):
     """
     m_hat = np.asarray(m_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = m_hat.shape[0]
+    return _nig_from_stats(y.T @ m_hat, np.sum(y**2, axis=0), m_hat.shape[0], tau_sq,
+                           nu0, sigma0_sq)
+
+
+def _nig_from_stats(y_t_m, col_sq, n, tau_sq, nu0, sigma0_sq):
+    """`nig_update` from the two statistics it reads of the n x p outcomes
+    y: y_t_m = y^T m_hat (p x k) and col_sq, the column sums of squares."""
     denom = n + 1.0 / tau_sq
-    mu = y.T @ m_hat / denom
+    mu = y_t_m / denom
     k_scalar = 1.0 / denom
     gamma_n = nu0 + n
-    col_sq = np.sum(y**2, axis=0)
     quad = np.sum(mu**2, axis=1) * denom  # mu^T K^{-1} mu
     delta_sq = (nu0 * sigma0_sq + col_sq - quad) / gamma_n
     if np.any(delta_sq <= 0.0):
@@ -233,12 +237,14 @@ def nig_update(m_hat, y, tau_sq, nu0=1.0, sigma0_sq=1.0):
 def fit_lambda_posterior(fe: FactorEstimates, hp: Hyperparams):
     """Closed-form posterior for the shared loadings and residual variances.
 
-    Returns (mu_lambda, k_scalar, gamma_n, delta_sq, v_j); mu_lambda is also
-    checked against its equivalent scaled-SVD form.
+    Reads y_c only through fe.yc_t_m and fe.yc_col_sq.  Returns (mu_lambda,
+    k_scalar, gamma_n, delta_sq, v_j); mu_lambda, built from the data
+    cross-product y_c^T m_hat, is also checked against its equivalent
+    scaled-SVD form sqrt(n) k V_c D_c.
     """
     n = fe.n_total
-    mu_lambda, k_scalar, gamma_n, delta_sq = nig_update(
-        fe.m_hat, fe.y_c, hp.tau_lambda_sq, nu0=hp.nu0, sigma0_sq=hp.sigma0_sq
+    mu_lambda, k_scalar, gamma_n, delta_sq = _nig_from_stats(
+        fe.yc_t_m, fe.yc_col_sq, n, hp.tau_lambda_sq, hp.nu0, hp.sigma0_sq
     )
     closed = (np.sqrt(n) * k_scalar) * (fe.v_c * fe.d_c)
     scale = max(float(np.max(np.abs(closed))), 1e-300)

@@ -23,12 +23,19 @@ DEFAULT_TAU = 0.2
 DEFAULT_K_MAX_CAP = 30
 
 
+def _largest_k_max(min_dim):
+    """Largest searched rank for a study of min(n_s, p) = min_dim: a rank of
+    min_dim fits the data exactly and leaves no residual variance."""
+    return max(min_dim - 1, 1)
+
+
 @dataclass(frozen=True)
 class RankSelectionConfig:
     """Settings for rank selection.
 
-    k_max caps the per-study search (None resolves to min(30, min_s
-    min(n_s, p) - 1)); tau is the spectral-gap threshold.
+    k_max caps the per-study search at no more than min_s min(n_s, p) - 1,
+    since a rank of min(n_s, p) leaves no residual variance (None resolves
+    to min(30, min_s min(n_s, p) - 1)); tau is the spectral-gap threshold.
     """
 
     k_max: int | None = None
@@ -41,13 +48,13 @@ class RankSelectionConfig:
             raise DimensionError(f"k_max must be >= 1, got {self.k_max}")
 
     def resolve_k_max(self, dataset: MultiStudyDataset) -> int:
-        cap = min(min(n, dataset.p) for n in dataset.n_s) - 1
-        cap = max(cap, 1)
+        cap = _largest_k_max(min(min(n, dataset.p) for n in dataset.n_s))
         if self.k_max is None:
             return min(DEFAULT_K_MAX_CAP, cap)
-        if self.k_max > cap + 1:
+        if self.k_max > cap:
             raise DimensionError(
-                f"k_max={self.k_max} exceeds min_s min(n_s, p) = {cap + 1}"
+                f"k_max={self.k_max} exceeds the largest allowed value {cap} "
+                f"= min_s min(n_s, p) - 1"
             )
         return self.k_max
 
@@ -131,8 +138,8 @@ def select_study_rank(y_s, cfg: RankSelectionConfig):
     """
     y_s = _check_matrix(y_s, "y_s")
     n_s, p = y_s.shape
-    k_max = cfg.k_max if cfg.k_max is not None else min(DEFAULT_K_MAX_CAP, min(n_s, p) - 1)
-    k_max = max(min(k_max, min(n_s, p)), 1)
+    cap = _largest_k_max(min(n_s, p))
+    k_max = min(cfg.k_max if cfg.k_max is not None else DEFAULT_K_MAX_CAP, cap)
     _, col_sq, comp_sq = _study_svd_summary(y_s, k_max)
 
     ks = np.arange(1, k_max + 1)

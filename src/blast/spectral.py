@@ -114,17 +114,20 @@ class LatentDims:
 
 @dataclass(frozen=True)
 class FactorEstimates:
-    """Estimator outputs: factors, shared-signal matrix, and its SVD pieces.
+    """Estimator outputs: factors, the SVD pieces of the stacked shared-signal
+    matrix y_c, and the two statistics of y_c that the posterior reads.
 
     m_hat = sqrt(n) times the leading left singular vectors of y_c, so
     m_hat^T m_hat = n I_k0 exactly; f_hat_s = sqrt(n_s) u_perp_s likewise.
-    m_hat_s^T f_hat_s = 0 by construction.
+    m_hat_s^T f_hat_s = 0 by construction.  The n x p y_c itself is not
+    kept.
     """
 
     m_hat: np.ndarray                # n x k0, stacked shared factors
     m_hat_s: tuple                   # per-study n_s x k0 blocks of m_hat
     f_hat_s: tuple                   # per-study n_s x q_s specific factors
-    y_c: np.ndarray                  # n x p shared-signal matrix
+    yc_col_sq: np.ndarray            # p, column sums of squares of y_c
+    yc_t_m: np.ndarray               # p x k0, y_c^T m_hat
     d_c: np.ndarray                  # k0 nonincreasing singular values
     v_c: np.ndarray                  # p x k0
     u_perp_s: tuple                  # per-study n_s x q_s
@@ -208,26 +211,39 @@ def specific_factors(y_s, v_bar, q_s):
     return np.sqrt(n_s) * u_perp, u_perp
 
 
-def shared_factors(dataset: MultiStudyDataset, u_perp_s, k0):
-    """Shared factors from the stacked studies with specific factors removed.
-
-    Each study block is Y_s minus its projection onto u_perp_s; the stack is
-    decomposed once and m_hat = sqrt(n) u_c, with u_c its leading-k0 left
-    singular vectors.  Returns (m_hat, m_hat_s, y_c, d_c, v_c).
-    """
-    n = dataset.n_total
-    y_c = np.empty((n, dataset.p))
+def _shared_signal(dataset: MultiStudyDataset, u_perp_s):
+    """The stacked shared-signal matrix y_c (n x p): each study block is Y_s
+    minus its projection onto u_perp_s, filled in place."""
+    y_c = np.empty((dataset.n_total, dataset.p))
     for rows, y_s, u_perp in zip(_split_rows(y_c, dataset.n_s), dataset.studies, u_perp_s):
         if u_perp.shape[1] == 0:
             rows[...] = y_s
         else:
             np.subtract(y_s, u_perp @ (u_perp.T @ y_s), out=rows)
+    return y_c
+
+
+def shared_factors(dataset: MultiStudyDataset, u_perp_s, k0):
+    """Shared factors from the stacked studies with specific factors removed.
+
+    The shared-signal matrix y_c (`_shared_signal`) is decomposed once and
+    m_hat = sqrt(n) u_c, with u_c its leading-k0 left singular vectors.  The
+    posterior needs only two statistics of y_c, so they are taken here and
+    y_c is dropped.  Returns (m_hat, m_hat_s, yc_col_sq, yc_t_m, d_c, v_c)
+    with yc_col_sq the column sums of squares of y_c and yc_t_m = y_c^T m_hat.
+    """
+    n = dataset.n_total
+    y_c = _shared_signal(dataset, u_perp_s)
     fac = truncated_svd(y_c, k0)
     if fac.singvals[-1] < _RANK_TOL * max(fac.singvals[0], _RANK_TOL):
         raise DegenerateSignalError(f"shared-signal matrix has numerical rank < k0={k0}")
     m_hat = np.sqrt(n) * fac.left
     m_hat_s = _split_rows(m_hat, dataset.n_s)
-    return m_hat, m_hat_s, y_c, fac.singvals, fac.right
+    # the statistics come from y_c itself: the per-study identity
+    # sum_s colsq(Y_s) - colsq(U_s^T Y_s) cancels and would move the last bits
+    yc_col_sq = np.einsum("ij,ij->j", y_c, y_c)  # no n x p temporary
+    yc_t_m = y_c.T @ m_hat
+    return m_hat, m_hat_s, yc_col_sq, yc_t_m, fac.singvals, fac.right
 
 
 def _split_rows(stacked, n_s):
@@ -273,12 +289,13 @@ def estimate_factors(
     )
     f_hat_s = tuple(f for f, _ in specific)
     u_perp_s = tuple(u for _, u in specific)
-    m_hat, m_hat_s, y_c, d_c, v_c = shared_factors(dataset, u_perp_s, dims.k0)
+    m_hat, m_hat_s, yc_col_sq, yc_t_m, d_c, v_c = shared_factors(dataset, u_perp_s, dims.k0)
     return FactorEstimates(
         m_hat=m_hat,
         m_hat_s=m_hat_s,
         f_hat_s=f_hat_s,
-        y_c=y_c,
+        yc_col_sq=yc_col_sq,
+        yc_t_m=yc_t_m,
         d_c=d_c,
         v_c=v_c,
         u_perp_s=u_perp_s,

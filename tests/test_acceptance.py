@@ -37,6 +37,8 @@ from blast.posterior import (
 from blast.ranks import RankSelectionConfig, select_dims
 from blast.spectral import LatentDims, estimate_factors
 
+from conftest import rebuild_y_c
+
 DESK = dict(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4, loading_sd=0.5)
 
 # tally of structural checks performed by criteria 1-3, asserted by criterion 5
@@ -202,11 +204,12 @@ def test_criterion_4_oracle_equivalence():
         mu, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, hp)
         # brute-force normal-equations / conjugate-update oracle
         prec = fe.m_hat.T @ fe.m_hat + np.eye(2) / hp.tau_lambda_sq
-        mu_o = np.linalg.solve(prec, fe.m_hat.T @ fe.y_c).T
+        y_c = rebuild_y_c(dataset, fe.u_perp_s)
+        mu_o = np.linalg.solve(prec, fe.m_hat.T @ y_c).T
         worst_nig = max(worst_nig, float(np.max(np.abs(mu - mu_o))))
         delta_o = np.empty(p)
         for j in range(p):
-            yj = fe.y_c[:, j]
+            yj = y_c[:, j]
             delta_o[j] = (hp.nu0 * hp.sigma0_sq + yj @ yj - mu_o[j] @ prec @ mu_o[j]) / gamma_n
         worst_nig = max(worst_nig, float(np.max(np.abs(delta_sq - delta_o))))
         s = 0

@@ -35,7 +35,7 @@ from blast.posterior import (
 )
 from blast.spectral import LatentDims, MultiStudyDataset, estimate_factors
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, rebuild_y_c
 
 
 def small_fit(seed=0, n_studies=2, n_per_study=(20, 20), p=10, k0=3, q_s=2):
@@ -142,7 +142,7 @@ class TestLambdaPosterior:
             ds, dims, fe, hp = small_fit(seed=seed, n_per_study=(20, 20), p=8, k0=3, q_s=1)
             mu, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, hp)
             mu_o, cov_o, gamma_o, delta_o = brute_force_nig(
-                fe.m_hat, fe.y_c, hp.tau_lambda_sq, hp.nu0, hp.sigma0_sq
+                fe.m_hat, rebuild_y_c(ds, fe.u_perp_s), hp.tau_lambda_sq, hp.nu0, hp.sigma0_sq
             )
             np.testing.assert_allclose(mu, mu_o, atol=1e-10)
             np.testing.assert_allclose(k_scalar * np.eye(dims.k0), cov_o, atol=1e-10)
@@ -155,9 +155,16 @@ class TestLambdaPosterior:
         # normal-equations oracle for the penalized least-squares problem
         k = dims.k0
         sol = np.linalg.solve(
-            fe.m_hat.T @ fe.m_hat + np.eye(k) / hp.tau_lambda_sq, fe.m_hat.T @ fe.y_c
+            fe.m_hat.T @ fe.m_hat + np.eye(k) / hp.tau_lambda_sq,
+            fe.m_hat.T @ rebuild_y_c(ds, fe.u_perp_s),
         ).T
         np.testing.assert_allclose(mu, sol, atol=1e-10)
+
+    def test_svd_form_check_reads_the_data_cross_product(self):
+        ds, dims, fe, hp = small_fit(seed=31, p=12)
+        fit_lambda_posterior(fe, hp)
+        with pytest.raises(NumericalError, match="SVD form"):
+            fit_lambda_posterior(replace(fe, yc_t_m=fe.yc_t_m * (1 + 1e-6)), hp)
 
     def test_delta_positive_always(self):
         for seed in range(10):

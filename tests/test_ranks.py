@@ -115,6 +115,13 @@ class TestSelectStudyRank:
         assert k_hat == 1
         assert np.argmin(trace.jic) == 0  # brute-force trace agrees
 
+    def test_k_max_clamped_below_min_dimension(self, rng):
+        y = rng.standard_normal((40, 30))
+        k_hat, trace = select_study_rank(y, RankSelectionConfig(k_max=30))
+        assert trace.ks[-1] == 29
+        k_29, trace_29 = select_study_rank(y, RankSelectionConfig(k_max=29))
+        assert k_hat == k_29 and trace.jic.tobytes() == trace_29.jic.tobytes()
+
     def test_orthogonal_invariance(self, rng):
         y = rng.standard_normal((30, 20)) + 2.0 * np.outer(
             rng.standard_normal(30), rng.standard_normal(20)
@@ -197,3 +204,12 @@ class TestSelectDims:
         assert cfg.resolve_k_max(ds) == 19
         with pytest.raises(DimensionError):
             RankSelectionConfig(k_max=25).resolve_k_max(ds)
+
+    @pytest.mark.parametrize("k_max", [60, 61])
+    def test_k_max_above_largest_allowed_is_a_dimension_error(self, k_max):
+        # min_s min(n_s, p) = 60; a rank of 60 leaves no residual variance
+        ds, _ = generate(SimScenario(n_studies=2, n_per_study=150, p=60, k0=2, q_s=2,
+                                     loading_sd=1.0, seed=0))
+        with pytest.raises(DimensionError, match="largest allowed value 59"):
+            select_dims_report(ds, RankSelectionConfig(k_max=k_max))
+        assert select_dims_report(ds, RankSelectionConfig(k_max=59)).k_max == 59

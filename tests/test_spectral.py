@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from blast.spectral import (
     PROJECTION_WEIGHTINGS,
     LatentDims,
     MultiStudyDataset,
+    _shared_signal,
     estimate_factors,
     shared_basis,
     shared_factors,
@@ -16,7 +19,7 @@ from blast.spectral import (
     study_right_basis,
 )
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, rebuild_y_c
 
 
 def desk_scenario(seed):
@@ -133,8 +136,8 @@ class TestSharedFactors:
     def test_single_study_reduction(self, rng):
         y = rng.standard_normal((12, 6))
         ds = MultiStudyDataset((y,))
-        m_hat, m_hat_s, y_c, d_c, v_c = shared_factors(ds, (np.zeros((12, 0)),), 2)
-        np.testing.assert_allclose(y_c, y)
+        m_hat, *_ = shared_factors(ds, (np.zeros((12, 0)),), 2)
+        np.testing.assert_allclose(_shared_signal(ds, (np.zeros((12, 0)),)), y)
         u, s, vt = np.linalg.svd(y)
         span_est = m_hat @ m_hat.T
         span_true = 12 * u[:, :2] @ u[:, :2].T
@@ -145,7 +148,7 @@ class TestSharedFactors:
         y1 = u_perp @ rng.standard_normal((2, 5))  # fully inside the specific span
         y2 = rng.standard_normal((8, 5))
         ds = MultiStudyDataset((y1, y2))
-        _, _, y_c, _, _ = shared_factors(ds, (u_perp, np.zeros((8, 0))), 1)
+        y_c = _shared_signal(ds, (u_perp, np.zeros((8, 0))))
         assert np.max(np.abs(y_c[:10])) <= 1e-10
 
     def test_y_c_bit_equal_to_stacked_blocks(self, rng):
@@ -153,11 +156,34 @@ class TestSharedFactors:
         ds, _ = generate(SimScenario(n_studies=2, n_per_study=(30, 45), p=20, k0=2,
                                      q_s=(0, 2), seed=9))
         u_perp_s = (np.zeros((30, 0)), random_orthonormal(rng, 45, 2))
-        _, _, y_c, _, _ = shared_factors(ds, u_perp_s, 2)
+        y_c = _shared_signal(ds, u_perp_s)
         y0, y1 = ds.studies
         u = u_perp_s[1]
         want = np.vstack([y0, y1 - u @ (u.T @ y1)])
         assert y_c.flags.c_contiguous and y_c.tobytes() == want.tobytes()
+
+    def test_statistics_bit_equal_to_y_c(self):
+        # what the posterior reads of y_c, against y_c rebuilt from the fit
+        ds, _ = generate(desk_scenario(101))
+        fe = estimate_factors(ds, LatentDims(k0=5, k_s=(9, 9, 9), q_s=(4, 4, 4)))
+        y_c = rebuild_y_c(ds, fe.u_perp_s)
+        assert fe.yc_col_sq.tobytes() == np.sum(y_c**2, axis=0).tobytes()
+        assert fe.yc_t_m.tobytes() == (y_c.T @ fe.m_hat).tobytes()
+
+    def test_no_n_by_p_array_is_kept(self):
+        ds, _ = generate(desk_scenario(101))
+        fe = estimate_factors(ds, LatentDims(k0=5, k_s=(9, 9, 9), q_s=(4, 4, 4)))
+        arrays, todo = [], [getattr(fe, f.name) for f in dataclasses.fields(fe)]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, tuple):
+                todo.extend(x)
+            elif isinstance(x, np.ndarray):
+                arrays.append(x)
+                if x.base is not None:  # a view keeps its base alive
+                    todo.append(x.base)
+        assert arrays
+        assert all(a.size != ds.n_total * ds.p for a in arrays)
 
     def test_block_orthogonality_identity(self, rng):
         ds, truth = generate(SimScenario(n_studies=3, n_per_study=40, p=30, k0=2, q_s=2, seed=5))
