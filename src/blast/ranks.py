@@ -106,13 +106,31 @@ def _loglik_at_k(n_s, p, col_sq, comp_sq, k, tau_s_sq):
     return float(loglik)
 
 
-def _self_consistent_tau_sq(n_s, col_sq, comp_sq, k):
-    """Prior-scale estimate at candidate rank k: signal energy over noise."""
-    theta = comp_sq[:, :k].sum() / n_s
-    omega = max((col_sq.sum() - comp_sq[:, :k].sum()) / n_s, 0.0)
-    if omega <= 0.0 or theta <= 0.0:
-        return 1.0
-    return theta / (k * omega)
+def _loglik_all_k(n_s, p, col_sq, comp_sq):
+    """`_loglik_at_k` at every k = 1..k_max at once, each k at its
+    self-consistent prior scale: signal energy over k times the noise."""
+    ks = np.arange(1, comp_sq.shape[1] + 1)
+    fit_sq = np.cumsum(comp_sq, axis=1)  # p x k_max, column k-1 sums the top k
+    resid_sq = np.maximum(col_sq[:, None] - fit_sq, 0.0)
+    sigma_sq = resid_sq / n_s
+    low = np.any(sigma_sq < _VAR_FLOOR, axis=0)
+    if low.any():
+        raise DegenerateVarianceError(
+            f"residual variance below {_VAR_FLOOR} at k={int(np.argmax(low)) + 1}; "
+            "rank saturates the data"
+        )
+    fit_total = np.cumsum(comp_sq.sum(axis=0))
+    theta = fit_total / n_s
+    omega = np.maximum((col_sq.sum() - fit_total) / n_s, 0.0)
+    scaled = (omega > 0.0) & (theta > 0.0)
+    tau_sq = np.where(scaled, theta / (ks * np.where(scaled, omega, 1.0)), 1.0)
+    shrink = n_s / (n_s + 1.0 / tau_sq)
+    resid_full = resid_sq + (1.0 - shrink) ** 2 * fit_sq
+    return (
+        -0.5 * n_s * np.sum(np.log(sigma_sq), axis=0)
+        - 0.5 * np.sum(resid_full / sigma_sq, axis=0)
+        - 0.5 * n_s * p * math.log(2.0 * math.pi)
+    )
 
 
 def surrogate_loglik(y_s, k, tau_s) -> float:
@@ -143,10 +161,7 @@ def select_study_rank(y_s, cfg: RankSelectionConfig):
     _, col_sq, comp_sq = _study_svd_summary(y_s, k_max)
 
     ks = np.arange(1, k_max + 1)
-    loglik = np.empty(k_max)
-    for i, k in enumerate(ks):
-        tau_sq = _self_consistent_tau_sq(n_s, col_sq, comp_sq, int(k))
-        loglik[i] = _loglik_at_k(n_s, p, col_sq, comp_sq, int(k), tau_sq)
+    loglik = _loglik_all_k(n_s, p, col_sq, comp_sq)
     jic = -2.0 * loglik + ks * max(n_s, p) * math.log(min(n_s, p))
     k_hat = int(ks[np.argmin(jic)])  # argmin returns the first (smallest) k
     return k_hat, JicTrace(ks=ks, loglik=loglik, jic=jic)

@@ -6,9 +6,10 @@ P-tilde = (1/S) sum_s V_s V_s^T, whose leading singular vectors V-bar span the
 shared directions; (3) study-specific factors from Y_s with the shared
 directions projected out; (4) shared factors from the stacked matrices with
 the study-specific factors regressed out.  Projectors are always represented
-by their orthonormal bases, never as p x p matrices.  The low-rank SVDs form
-the Gram matrix of their input's short side (`numerics.truncated_svd`), which
-is p x p when the stacked studies have more rows than p.
+by their orthonormal bases, never as p x p matrices.  Every SVD, the
+full-rank ones of `shared_basis` included, forms the Gram matrix of its
+input's short side (`numerics.truncated_svd`), which is p x p when the
+stacked studies have more rows than p.
 """
 
 from dataclasses import dataclass, field

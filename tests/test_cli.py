@@ -397,7 +397,8 @@ class TestExitCodes:
         assert run_cli("fit", data, "--kmax", 5, "--nmc", 0) == 4
 
     def test_svd_failure_exits_4(self, tmp_path):
-        # Both LAPACK SVD drivers are patched to fail in the child process.
+        # Both LAPACK SVD drivers are patched to fail in the child process,
+        # and so is eigh, so that the Gram route declines and LAPACK runs.
         data = tmp_path / "data"
         ds, _ = generate(SimScenario(n_studies=2, n_per_study=40, p=20, k0=2, q_s=1, seed=4))
         io.write_dataset(data, ds)
@@ -405,7 +406,7 @@ class TestExitCodes:
             "import numpy, scipy.linalg\n"
             "def fail(*args, **kwargs):\n"
             "    raise numpy.linalg.LinAlgError('SVD did not converge')\n"
-            "numpy.linalg.svd = scipy.linalg.svd = fail\n"
+            "numpy.linalg.svd = scipy.linalg.svd = numpy.linalg.eigh = fail\n"
         ) + CLI_SCRIPT
         proc = run_cli_child(script, "fit", data, "--kmax", 5, "--nmc", 0,
                              "--out", tmp_path / "fit")

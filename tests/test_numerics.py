@@ -6,8 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blast import numerics
+from blast import numerics, posterior, ranks, spectral
 from blast.errors import DataError, DimensionError, NumericalError
+from blast.evalsim import SimScenario, generate
 from blast.numerics import derive_stream, parallel_map, procrustes_rotation, truncated_svd
 
 from conftest import random_orthonormal
@@ -35,11 +36,22 @@ def broken_svd(failure):
     return svd
 
 
+def failing_eigh(g):
+    """Stand-in eigh that raises, so both Gram-route eigensolvers fail and
+    every request falls through to dense LAPACK."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def dense_truncated_svd(monkeypatch, a, r):
     """truncated_svd forced onto the dense LAPACK route."""
     with monkeypatch.context() as m:
         m.setattr(numerics, "_svd_gram", lambda a, r: None)
         return truncated_svd(a, r)
+
+
+def sine_largest_angle(got, want):
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return np.linalg.norm(got - want @ (want.T @ got), 2)
 
 
 def assert_same_factors(fac, expected):
@@ -127,6 +139,14 @@ class TestTruncatedSvd:
         assert np.abs(fac.right.T @ fac.right - np.eye(2)).max() <= 1e-10
         assert np.array_equal(fac.singvals, numerics._svd_lapack(a, 2)[1])
 
+    def test_ratio_guard_logs_lapack_route(self, rng, caplog):
+        u = random_orthonormal(rng, 300, 2)
+        v = random_orthonormal(rng, 200, 2)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            truncated_svd((u * [1.0, 1e-3]) @ v.T, 2)
+        lines = [r.getMessage() for r in caplog.records if "event=gram_eig" in r.getMessage()]
+        assert lines == ["event=gram_eig k=200 r=2 route=lapack reason=ratio"]
+
     def test_iterative_path_known_factorization(self, rng):
         # a large low-rank request (short side 4100, r=3) takes the Gram
         # route; the factorization is known exactly
@@ -156,12 +176,14 @@ class TestTruncatedSvd:
 
     # The tests below break one decomposition at a time by monkeypatching, so
     # they exercise the fallbacks on every BLAS build, not only on one whose
-    # gesdd fails on real input.
+    # gesdd fails on real input.  A request reaches LAPACK only when the Gram
+    # route declines, so the LAPACK tests break its eigensolvers too.
 
     @pytest.mark.parametrize("failure", ["raise", "nan"])
     def test_gesdd_failure_falls_back_to_gesvd(self, rng, monkeypatch, caplog, failure):
         a = rank_deficient(rng, 40, 25, 3)
         expected = truncated_svd(a, 4)
+        monkeypatch.setattr(numerics.np.linalg, "eigh", failing_eigh)
         monkeypatch.setattr(numerics.np.linalg, "svd", broken_svd(failure))
         with caplog.at_level(logging.WARNING, logger="blast.numerics"):
             fac = truncated_svd(a, 4)
@@ -173,6 +195,7 @@ class TestTruncatedSvd:
     @pytest.mark.parametrize("failure", ["raise", "nan"])
     def test_both_drivers_fail_raises_numerical_error(self, rng, monkeypatch, failure):
         a = rng.standard_normal((12, 7))
+        monkeypatch.setattr(numerics.np.linalg, "eigh", failing_eigh)
         monkeypatch.setattr(numerics.np.linalg, "svd", broken_svd("raise"))
         monkeypatch.setattr(scipy.linalg, "svd", broken_svd(failure))
         with pytest.raises(NumericalError, match=r"shape 12x7 at rank r=3") as err:
@@ -210,14 +233,13 @@ class TestTruncatedSvd:
         a = rng.standard_normal((2500, 2000)) + (u * [900.0, 700.0, 500.0, 350.0, 250.0]) @ v.T
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
             fac = truncated_svd(a, 5)
-        assert "event=gram_eig k=2000 r=5 route=subspace" in caplog.text
+        assert "event=gram_eig k=2000 r=5 route=subspace iters=" in caplog.text
         with monkeypatch.context() as m:
             m.setattr(numerics, "_subspace_eigh", lambda g, r: (None, "forced"))
             full = truncated_svd(a, 5)
         np.testing.assert_allclose(fac.singvals, full.singvals, rtol=1e-12)
         for got, want in [(fac.left, full.left), (fac.right, full.right)]:
-            # sine of the largest principal angle between the two subspaces
-            assert np.linalg.norm(got - want @ (want.T @ got), 2) <= 1e-10
+            assert sine_largest_angle(got, want) <= 1e-10
 
     def test_subspace_iteration_at_large_scale(self, rng, caplog):
         # entries near 1e90 put the Gram matrix near 1e185: its residual
@@ -258,6 +280,73 @@ class TestTruncatedSvd:
         assert caplog.text.count("route=subspace") == 12
         for fac, other in zip(serial, threaded):
             assert_same_factors(fac, other)
+
+
+@pytest.fixture
+def desk_requests(monkeypatch, caplog):
+    """Every truncated_svd request of a point fit at desk scale (seed 101),
+    with its factors, and the `event=gram_eig` lines of the fit."""
+    dataset, _ = generate(SimScenario(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4,
+                                      loading_sd=0.5, seed=101))
+    requests = []
+
+    def recording_svd(a, r):
+        fac = truncated_svd(a, r)
+        requests.append((np.array(a), r, fac))
+        return fac
+
+    monkeypatch.setattr(ranks, "truncated_svd", recording_svd)
+    monkeypatch.setattr(spectral, "truncated_svd", recording_svd)
+    with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+        posterior.run_blast(dataset, posterior.BlastConfig(n_mc=0, seed=101))
+    lines = [r.getMessage() for r in caplog.records if "event=gram_eig" in r.getMessage()]
+    return requests, lines
+
+
+class TestPipelineRequests:
+    def test_one_gram_eig_line_per_request(self, desk_requests):
+        requests, lines = desk_requests
+        assert len(requests) == 15 and len(lines) == 15
+        # the route each request shape takes at desk scale: rank selection
+        # at k_max = 30 and the bases at rank 9 decline at the first Ritz
+        # step, the full-rank shared bases are too narrow for a block, the
+        # specific (r=4) and shared (r=5) factors converge by iteration
+        expected = {
+            (200, 30): "route=full reason=slow_gap",
+            (200, 9): "route=full reason=slow_gap",
+            (27, 27): "route=full reason=wide_block",
+            (200, 4): "route=subspace iters=",
+            (200, 5): "route=subspace iters=",
+        }
+        counts = {}
+        for (a, r, _), line in zip(requests, lines):
+            key = (min(a.shape), r)
+            assert line.startswith(f"event=gram_eig k={key[0]} r={r} {expected[key]}")
+            counts[key] = counts.get(key, 0) + 1
+        assert counts == {(200, 30): 3, (200, 9): 6, (27, 27): 2, (200, 4): 3, (200, 5): 1}
+
+    def test_matches_dense_lapack_within_tolerance(self, monkeypatch, desk_requests):
+        # the documented tolerance of the Gram route against dense LAPACK:
+        # singular values within rtol 1e-12, subspace sine at most 1e-10
+        requests, _ = desk_requests
+        for a, r, fac in requests:
+            dense = dense_truncated_svd(monkeypatch, a, r)
+            np.testing.assert_allclose(fac.singvals, dense.singvals, rtol=1e-12, atol=0)
+            assert sine_largest_angle(fac.left, dense.left) <= 1e-10
+            assert sine_largest_angle(fac.right, dense.right) <= 1e-10
+
+    def test_large_p_study_matches_dense_lapack(self, monkeypatch):
+        # a study matrix at the large-p shape (n_s=500, p=2000), at the
+        # ranks the pipeline requests of it
+        dataset, _ = generate(SimScenario(n_studies=1, n_per_study=500, p=2000, k0=5,
+                                          q_s=4, loading_sd=0.5, seed=701))
+        y = dataset.studies[0]
+        dense = dense_truncated_svd(monkeypatch, y, 30)
+        for r in (30, 9, 4):
+            fac = truncated_svd(y, r)
+            np.testing.assert_allclose(fac.singvals, dense.singvals[:r], rtol=1e-12, atol=0)
+            assert sine_largest_angle(fac.left, dense.left[:, :r]) <= 1e-10
+            assert sine_largest_angle(fac.right, dense.right[:, :r]) <= 1e-10
 
 
 class TestProcrustes:

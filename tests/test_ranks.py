@@ -7,6 +7,8 @@ from blast.errors import DegenerateSignalError, DegenerateVarianceError, Dimensi
 from blast.evalsim import SimScenario, generate
 from blast.ranks import (
     RankSelectionConfig,
+    _loglik_at_k,
+    _study_svd_summary,
     select_dims,
     select_dims_report,
     select_shared_rank,
@@ -33,6 +35,21 @@ def dense_surrogate_oracle(y, k, tau_s):
         - 0.5 * trace_term
         - 0.5 * n_s * p * math.log(2 * math.pi)
     )
+
+
+def per_k_criterion(y, k_max):
+    """The criterion's log-likelihood one k at a time: `_loglik_at_k` at each
+    k's self-consistent prior scale, signal energy over k times the noise.
+    Returns (loglik, tau_sq), one entry per k = 1..k_max."""
+    n_s, p = y.shape
+    _, col_sq, comp_sq = _study_svd_summary(y, k_max)
+    loglik, tau_sq = [], []
+    for k in range(1, k_max + 1):
+        theta = comp_sq[:, :k].sum() / n_s
+        omega = max((col_sq.sum() - comp_sq[:, :k].sum()) / n_s, 0.0)
+        tau_sq.append(1.0 if omega <= 0.0 or theta <= 0.0 else theta / (k * omega))
+        loglik.append(_loglik_at_k(n_s, p, col_sq, comp_sq, k, tau_sq[-1]))
+    return np.array(loglik), np.array(tau_sq)
 
 
 class TestSurrogateLoglik:
@@ -121,6 +138,29 @@ class TestSelectStudyRank:
         assert trace.ks[-1] == 29
         k_29, trace_29 = select_study_rank(y, RankSelectionConfig(k_max=29))
         assert k_hat == k_29 and trace.jic.tobytes() == trace_29.jic.tobytes()
+
+    @pytest.mark.parametrize("shape,k_max,seed", [
+        ((300, 200), 30, 101), ((150, 60), 30, 20), ((40, 30), 29, 3),
+    ])
+    def test_all_k_matches_per_k_form(self, shape, k_max, seed):
+        # the criterion at every k at once equals the per-k evaluation, and
+        # surrogate_loglik (validated against a dense oracle) at each k's
+        # prior scale agrees with both
+        n_s, p = shape
+        ds, _ = generate(SimScenario(n_studies=1, n_per_study=n_s, p=p, k0=2, q_s=2,
+                                     loading_sd=1.0, seed=seed))
+        y = ds.studies[0]
+        _, trace = select_study_rank(y, RankSelectionConfig(k_max=k_max))
+        loglik, tau_sq = per_k_criterion(y, k_max)
+        np.testing.assert_allclose(trace.loglik, loglik, rtol=1e-12, atol=0)
+        oracle = [surrogate_loglik(y, k, math.sqrt(t)) for k, t in zip(trace.ks, tau_sq)]
+        np.testing.assert_allclose(trace.loglik, oracle, rtol=1e-9, atol=0)
+
+    def test_saturation_named_at_first_k(self, rng):
+        # an exactly rank-2 study: the residual vanishes from k = 2 on
+        y = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 30))
+        with pytest.raises(DegenerateVarianceError, match=r"at k=2; rank saturates"):
+            select_study_rank(y, RankSelectionConfig(k_max=5))
 
     def test_orthogonal_invariance(self, rng):
         y = rng.standard_normal((30, 20)) + 2.0 * np.outer(
