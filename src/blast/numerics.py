@@ -5,13 +5,22 @@ Every SVD (`truncated_svd`), low-rank or full-rank, goes through the
 eigendecomposition of its input's short-side Gram matrix; dense LAPACK runs
 only when that route declines.
 
-All functions are pure; nothing here mutates its inputs, so every operation
-is safe to call from multiple threads.
+No function mutates its inputs, so every operation is safe to call from
+multiple threads.  The public functions are pure with one scoped exception:
+inside `_factorization_scope`, which `posterior.run_blast` opens around one
+fit's rank selection and factor estimation, `truncated_svd` keeps the Gram
+eigenpairs of each input array and serves a later request of no higher rank
+on the same array from them.  Nothing is kept outside that scope, and
+`parallel_map` runs its tasks in copies of the caller's context, so the
+worker threads of a fit share its memo.
 """
 
+import contextlib
+import contextvars
 import functools
 import hashlib
 import logging
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,6 +42,28 @@ _EIG_TOL = 1e-13
 
 # Highest degree of the Chebyshev filter applied after the first Ritz step.
 _FILTER_DEGREE = 4
+
+
+# Gram eigenpairs kept for the current fit, by id() of the input array:
+# (weakref to the array, top-R eigenvalues, k x R eigenvectors).  None
+# outside `_factorization_scope`.
+_FIT_EIGENPAIRS = contextvars.ContextVar("fit_eigenpairs", default=None)
+
+
+@contextlib.contextmanager
+def _factorization_scope():
+    """Keep each array's Gram eigenpairs until the scope closes, so that a
+    later `truncated_svd` request of no higher rank on the same array object
+    slices them instead of decomposing again.
+
+    An entry holds a weakref to its array and copies of the top eigenpairs,
+    never the array itself.  Arrays must not be mutated inside the scope.
+    """
+    token = _FIT_EIGENPAIRS.set({})
+    try:
+        yield
+    finally:
+        _FIT_EIGENPAIRS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -185,34 +216,47 @@ def _subspace_eigh(g, r):
         return None, "solver"
 
 
+def _gram_top(g, r):
+    """Top-r eigenpairs of the Gram matrix g, or None, and the route taken."""
+    top, detail = _subspace_eigh(g, r)
+    if top is not None:
+        return top, "subspace iters=%d products=%d" % detail
+    try:
+        w, v = np.linalg.eigh(g)
+        top = w[::-1][:r], v[:, ::-1][:, :r]
+    except np.linalg.LinAlgError:
+        pass
+    return top, f"full reason={detail}"
+
+
 def _svd_gram(a, r):
     """Top-r SVD via eigendecomposition of the short-side Gram matrix.
 
     The top r eigenpairs come from `_subspace_eigh`, or from a full `eigh`
-    when it declines.  Returns None when both eigensolvers fail or the
-    smallest requested component is below `_GRAM_MIN_RATIO` of the largest,
-    in which case the caller falls back to LAPACK.  Logs one
-    `event=gram_eig` line with the route taken.
+    when it declines; inside `_factorization_scope`, a request on an array
+    whose eigenpairs are kept to rank r or more slices them instead.
+    Returns None when both eigensolvers fail or the smallest requested
+    component is below `_GRAM_MIN_RATIO` of the largest, in which case the
+    caller falls back to LAPACK.  Logs one `event=gram_eig` line with the
+    route taken.
     """
     m, n = a.shape
     transposed = m < n
     b = a.T if transposed else a  # b is tall: rows >= cols
-    g = b.T @ b
-    top, detail = _subspace_eigh(g, r)
-    if top is not None:
-        route = "subspace iters=%d products=%d" % detail
+    memo = _FIT_EIGENPAIRS.get()
+    kept = memo.get(id(a)) if memo is not None else None
+    if kept is not None and kept[0]() is a and r <= kept[1].size:
+        top, route = (kept[1][:r], kept[2][:, :r]), "reuse"
     else:
-        route = f"full reason={detail}"
-        try:
-            w, v = np.linalg.eigh(g)
-            top = w[::-1][:r], v[:, ::-1][:, :r]
-        except np.linalg.LinAlgError:
-            pass
-    if top is not None and not _all_finite(*top):
-        top = None
-    elif top is not None and top[0][-1] <= _GRAM_MIN_RATIO * top[0][0]:
+        top, route = _gram_top(b.T @ b, r)
+        if top is not None and not _all_finite(*top):
+            top = None
+        if top is not None and memo is not None:
+            # copies, so no k x k eigenvector matrix outlives this request
+            memo[id(a)] = (weakref.ref(a), top[0].copy(), top[1].copy())
+    if top is not None and top[0][-1] <= _GRAM_MIN_RATIO * top[0][0]:
         top, route = None, "lapack reason=ratio"
-    logger.debug("event=gram_eig k=%d r=%d route=%s", g.shape[0], r, route)
+    logger.debug("event=gram_eig k=%d r=%d route=%s", b.shape[1], r, route)
     if top is None:
         return None
     w, v = top
@@ -245,6 +289,12 @@ def truncated_svd(a, r) -> SvdFactors:
     `event=gram_eig` line at DEBUG with the route taken:
     `route=subspace iters=N products=P`, `route=full reason=...`, or
     `route=lapack reason=ratio`.
+
+    Inside one fit (`_factorization_scope`, opened by `run_blast`), the
+    eigenpairs of each input array are kept, and a later request of no
+    higher rank on the same array object slices them and logs
+    `route=reuse`; its factors meet the same tolerance against dense
+    LAPACK.  Outside a fit every request decomposes afresh.
 
     Dense LAPACK runs only when the Gram route declines: when
     sigma_r^2 / sigma_1^2 is below `_GRAM_MIN_RATIO`, too small for the Gram
@@ -287,12 +337,16 @@ def parallel_map(fn, n, threads):
     """[fn(0), ..., fn(n - 1)], on up to `threads` worker threads.
 
     Results come back in index order whatever the schedule, and an exception
-    raised by `fn` reaches the caller unchanged.
+    raised by `fn` reaches the caller unchanged.  Each call sees the
+    caller's context variables, so a worker thread shares the caller's
+    `_factorization_scope` and returns what a sequential call would.
     """
     if threads <= 1 or n <= 1:
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
+        # one copy per task: a context cannot be entered by two threads at once
+        futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
+        return [f.result() for f in futures]
 
 
 def _hash_key128(base_seed, path):

@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .numerics import RngStream, derive_stream, parallel_map
+from .numerics import RngStream, _factorization_scope, derive_stream, parallel_map
 from .ranks import RankSelectionConfig, require_dims, select_dims_report
 from .spectral import (
     PROJECTION_WEIGHTINGS,
@@ -544,24 +544,26 @@ def run_blast(dataset: MultiStudyDataset, config: BlastConfig) -> BlastResult:
         dataset = dataset.center_columns()
 
     jic_traces = None
-    if config.dims is not None:
-        dims = config.dims
-        dims.validate_for(dataset)
-    else:
-        rank_cfg = RankSelectionConfig(k_max=config.k_max, tau=config.tau)
-        rank_report = select_dims_report(
-            dataset, rank_cfg, weighting=config.projection_weighting,
-            threads=config.threads,
-        )
-        dims = require_dims(rank_report, config.tau)
-        jic_traces = rank_report.traces
-    _stage_done(timings, "rank_selection", t0)
+    # rank selection's rank-k_max eigenpairs serve the rank-k_s requests
+    with _factorization_scope():
+        if config.dims is not None:
+            dims = config.dims
+            dims.validate_for(dataset)
+        else:
+            rank_cfg = RankSelectionConfig(k_max=config.k_max, tau=config.tau)
+            rank_report = select_dims_report(
+                dataset, rank_cfg, weighting=config.projection_weighting,
+                threads=config.threads,
+            )
+            dims = require_dims(rank_report, config.tau)
+            jic_traces = rank_report.traces
+        _stage_done(timings, "rank_selection", t0)
 
-    t0 = time.perf_counter()
-    fe = estimate_factors(
-        dataset, dims, weighting=config.projection_weighting, threads=config.threads
-    )
-    _stage_done(timings, "factor_estimation", t0)
+        t0 = time.perf_counter()
+        fe = estimate_factors(
+            dataset, dims, weighting=config.projection_weighting, threads=config.threads
+        )
+        _stage_done(timings, "factor_estimation", t0)
 
     t0 = time.perf_counter()
     hp = estimate_hyperparams(dataset, fe, dims, nu0=config.nu0,

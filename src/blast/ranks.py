@@ -232,7 +232,8 @@ def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
 
     def one_study(s):
         k_hat, trace = select_study_rank(dataset.studies[s], eff_cfg)
-        # A second SVD, at the chosen rank, gives the basis in the report.
+        # A second SVD, at the chosen rank, gives the basis in the report;
+        # inside run_blast it slices the eigenpairs of the first.
         fac = truncated_svd(dataset.studies[s], k_hat)
         return k_hat, trace, fac.right
 

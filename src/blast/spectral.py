@@ -9,7 +9,9 @@ the study-specific factors regressed out.  Projectors are always represented
 by their orthonormal bases, never as p x p matrices.  Every SVD, the
 full-rank ones of `shared_basis` included, forms the Gram matrix of its
 input's short side (`numerics.truncated_svd`), which is p x p when the
-stacked studies have more rows than p.
+stacked studies have more rows than p.  Inside `run_blast`,
+`study_right_basis` slices the Gram eigenpairs that rank selection computed
+for the same study matrix instead of forming it again.
 """
 
 from dataclasses import dataclass, field

@@ -1,4 +1,7 @@
+import gc
 import logging
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -282,6 +285,101 @@ class TestTruncatedSvd:
             assert_same_factors(fac, other)
 
 
+def gram_eig_lines(caplog):
+    return [r.getMessage() for r in caplog.records if "event=gram_eig" in r.getMessage()]
+
+
+class TestFactorizationScope:
+    def gapped(self, rng, m=120, n=80, rank=6):
+        return (rng.standard_normal((m, n))
+                + 50.0 * random_orthonormal(rng, m, rank) @ random_orthonormal(rng, n, rank).T)
+
+    def test_lower_rank_request_reuses_within_tolerance(self, rng, caplog):
+        a = self.gapped(rng)
+        fresh = truncated_svd(a, 3)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            with numerics._factorization_scope():
+                truncated_svd(a, 8)
+                reused = truncated_svd(a, 3)
+        lines = gram_eig_lines(caplog)
+        assert len(lines) == 2 and lines[1].endswith(" route=reuse")
+        np.testing.assert_allclose(reused.singvals, fresh.singvals, rtol=1e-12, atol=0)
+        assert sine_largest_angle(reused.left, fresh.left) <= 1e-10
+        assert sine_largest_angle(reused.right, fresh.right) <= 1e-10
+        assert numerics._FIT_EIGENPAIRS.get() is None
+
+    def test_no_reuse_outside_a_fit(self, rng, caplog):
+        a = self.gapped(rng)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            for r in (8, 3, 3):
+                truncated_svd(a, r)
+        lines = gram_eig_lines(caplog)
+        assert len(lines) == 3 and not any("route=reuse" in line for line in lines)
+
+    def test_back_to_back_fits_log_the_same_routes(self, caplog):
+        dataset, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
+                                          loading_sd=0.5, seed=31))
+        fits = []
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+                posterior.run_blast(dataset, posterior.BlastConfig(n_mc=0, seed=5))
+            fits.append(gram_eig_lines(caplog))
+        assert fits[0] == fits[1]
+        k_max_lines = [line for line in fits[0] if " r=30 " in line]
+        assert len(k_max_lines) == 3 and not any("route=reuse" in x for x in k_max_lines)
+        assert sum("route=reuse" in line for line in fits[0]) == 6
+
+    def test_entries_hold_small_copies_not_arrays(self, monkeypatch):
+        dataset, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
+                                          loading_sd=0.5, seed=31))
+        y_c_refs = []
+
+        def shared_signal(*args):
+            y_c = real_shared_signal(*args)
+            y_c_refs.append(weakref.ref(y_c))
+            return y_c
+
+        real_shared_signal = spectral._shared_signal
+        monkeypatch.setattr(spectral, "_shared_signal", shared_signal)
+        with numerics._factorization_scope():
+            dims = ranks.select_dims(dataset, ranks.RankSelectionConfig())
+            spectral.estimate_factors(dataset, dims)
+            gc.collect()
+            assert len(y_c_refs) == 1 and y_c_refs[0]() is None
+            entries = list(numerics._FIT_EIGENPAIRS.get().values())
+        assert entries
+        for ref, w, v in entries:
+            assert isinstance(ref, weakref.ref)
+            # copies owning their data, not views into a k x k eigh output
+            assert w.base is None and v.base is None
+            assert w.ndim == 1 and v.shape[1] == w.size <= v.shape[0]
+
+    def test_worker_threads_share_the_scope(self, rng, caplog):
+        # more workers than cores, switching often: a memo entry lost by a
+        # racing worker would turn a reuse line into a fresh request
+        inputs = [self.gapped(rng, 60, 40, 4) for _ in range(24)]
+
+        def task(i):
+            truncated_svd(inputs[i], 6)
+            return truncated_svd(inputs[i], 3)
+
+        def run(threads):
+            with numerics._factorization_scope():
+                return parallel_map(task, len(inputs), threads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+                serial, threaded = run(1), run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert caplog.text.count("route=reuse") == 2 * len(inputs)
+        for fac, other in zip(serial, threaded, strict=True):
+            assert_same_factors(fac, other)
+
+
 @pytest.fixture
 def desk_requests(monkeypatch, caplog):
     """Every truncated_svd request of a point fit at desk scale (seed 101),
@@ -299,8 +397,7 @@ def desk_requests(monkeypatch, caplog):
     monkeypatch.setattr(spectral, "truncated_svd", recording_svd)
     with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
         posterior.run_blast(dataset, posterior.BlastConfig(n_mc=0, seed=101))
-    lines = [r.getMessage() for r in caplog.records if "event=gram_eig" in r.getMessage()]
-    return requests, lines
+    return requests, gram_eig_lines(caplog)
 
 
 class TestPipelineRequests:
@@ -308,12 +405,13 @@ class TestPipelineRequests:
         requests, lines = desk_requests
         assert len(requests) == 15 and len(lines) == 15
         # the route each request shape takes at desk scale: rank selection
-        # at k_max = 30 and the bases at rank 9 decline at the first Ritz
-        # step, the full-rank shared bases are too narrow for a block, the
-        # specific (r=4) and shared (r=5) factors converge by iteration
+        # at k_max = 30 declines at the first Ritz step, the bases at rank 9
+        # reuse its eigenpairs, the full-rank shared bases are too narrow
+        # for a block, the specific (r=4) and shared (r=5) factors converge
+        # by iteration
         expected = {
             (200, 30): "route=full reason=slow_gap",
-            (200, 9): "route=full reason=slow_gap",
+            (200, 9): "route=reuse",
             (27, 27): "route=full reason=wide_block",
             (200, 4): "route=subspace iters=",
             (200, 5): "route=subspace iters=",

@@ -530,6 +530,20 @@ class TestSampleDraw:
             for g1, g8 in zip(d1.gamma_tilde_s, d8.gamma_tilde_s):
                 assert np.array_equal(g1, g8)
 
+    def test_byte_identical_across_threads_at_cli_scale(self):
+        # here a fresh rank-k_hat SVD would take the subspace route, so a
+        # worker thread that missed the fit's rank-k_max eigenpairs would
+        # move the last bits
+        ds, _ = generate(SimScenario(n_studies=3, n_per_study=500, p=1000, k0=5, q_s=4,
+                                     loading_sd=0.5, seed=101))
+        r1, r2 = (run_blast(ds, BlastConfig(n_mc=5, seed=101, threads=t)) for t in (1, 2))
+        assert r1.spec.mu_lambda.tobytes() == r2.spec.mu_lambda.tobytes()
+        assert (r1.spec.rho_lambda, r1.spec.rho_gamma) == (r2.spec.rho_lambda, r2.spec.rho_gamma)
+        d1, d2 = r1.draws, r2.draws
+        for a, b in zip((d1.lambda_tilde, d1.sigma_tilde_sq, *d1.gamma_tilde_s),
+                        (d2.lambda_tilde, d2.sigma_tilde_sq, *d2.gamma_tilde_s), strict=True):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_draw_rows_equal_sample_draw(self, threads):
         # each row of the arrays is filled in place by one sample_draw call;
