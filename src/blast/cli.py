@@ -30,7 +30,7 @@ from .evalsim import (
     run_replicates,
     summarize_replicates,
 )
-from .numerics import derive_stream
+from .numerics import _factorization_scope, derive_stream
 from .posterior import BlastConfig, CovarianceModel, run_blast
 from .ranks import RankSelectionConfig, select_dims_report
 from .spectral import LatentDims
@@ -257,9 +257,11 @@ def cmd_ranks(args) -> int:
     cfg = build_config(args)
     dataset = io.load_dataset(args.data_dir)
     rank_cfg = RankSelectionConfig(k_max=cfg.k_max, tau=cfg.tau)
-    rr = select_dims_report(
-        dataset, rank_cfg, weighting=cfg.projection_weighting, threads=cfg.threads
-    )
+    # the rank-k_hat bases slice the rank-k_max eigenpairs of each study
+    with _factorization_scope():
+        rr = select_dims_report(
+            dataset, rank_cfg, weighting=cfg.projection_weighting, threads=cfg.threads
+        )
     report = {
         "dims": {"k0": rr.k0, "k_s": list(rr.k_hat_s), "q_s": list(rr.q_s)},
         "jic": [t.to_dict() for t in rr.traces],

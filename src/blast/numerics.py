@@ -1,9 +1,12 @@
 """Dense linear-algebra kernels, reproducible random-number streams and an
 order-preserving thread fan-out.
 
-Every SVD (`truncated_svd`), low-rank or full-rank, goes through the
-eigendecomposition of its input's short-side Gram matrix; dense LAPACK runs
-only when that route declines.
+Every SVD (`truncated_svd`), low-rank or full-rank, goes through the top
+eigenpairs of its input's short-side Gram matrix; dense LAPACK runs only
+when that route declines.  An array request forms that Gram matrix.  A
+`ProjectedStack` request (the shared-signal matrix of `spectral`) never
+forms it, nor the stack itself: its eigenpairs come from products computed
+one study block at a time.
 
 No function mutates its inputs, so every operation is safe to call from
 multiple threads.  The public functions are pure with one scoped exception:
@@ -84,6 +87,82 @@ class SvdFactors:
         return (self.left * self.singvals) @ self.right.T
 
 
+class ProjectedStack:
+    """The row stack of the blocks Y_s - U_s (U_s^T Y_s), never formed.
+
+    Each U_s (n_s x q_s, q_s may be 0) has orthonormal columns.  Keeps
+    W_s = U_s^T Y_s (q_s x p) and exposes products with the stack (`dot`)
+    and with its transpose (`tdot`); `_StackGram` makes its short-side Gram
+    matrix from the two.  Every product sums over the studies in their
+    order, so its bytes do not depend on the caller's thread count.  The
+    blocks must not be mutated while the stack is in use.
+    """
+
+    def __init__(self, blocks, bases):
+        self.blocks = tuple(blocks)
+        self.bases = tuple(bases)
+        self.coefs = tuple(u.T @ y for u, y in zip(self.bases, self.blocks))
+        self.offsets = np.cumsum((0,) + tuple(y.shape[0] for y in self.blocks))
+        self.shape = (int(self.offsets[-1]), self.blocks[0].shape[1])
+
+    def _parts(self):
+        return zip(self.offsets[:-1], self.offsets[1:], self.blocks, self.bases, self.coefs)
+
+    def dot(self, x):
+        """stack @ x, for x with p rows."""
+        out = np.empty((self.shape[0], x.shape[1]))
+        for lo, hi, y, u, w in self._parts():
+            np.matmul(y, x, out=out[lo:hi])
+            if u.shape[1]:
+                out[lo:hi] -= u @ (w @ x)
+        return out
+
+    def tdot(self, z):
+        """stack.T @ z, for z with n rows."""
+        out = np.zeros((self.shape[1], z.shape[1]))
+        for lo, hi, y, u, w in self._parts():
+            part = y.T @ z[lo:hi]
+            if u.shape[1]:
+                part -= w.T @ (u.T @ z[lo:hi])
+            out += part
+        return out
+
+    def col_sq(self):
+        """Column sums of squares, sum_s colsq(Y_s) - colsq(W_s)."""
+        out = np.zeros(self.shape[1])
+        for y, w in zip(self.blocks, self.coefs):
+            out += np.einsum("ij,ij->j", y, y) - np.einsum("ij,ij->j", w, w)
+        return out
+
+    def dense(self):
+        """The stack as one n x p array, filled block by block in place."""
+        out = np.empty(self.shape)
+        for lo, hi, y, u, w in self._parts():
+            if u.shape[1]:
+                np.subtract(y, u @ w, out=out[lo:hi])
+            else:
+                out[lo:hi] = y
+        return out
+
+
+@dataclass(frozen=True)
+class _StackGram:
+    """Short-side Gram matrix of a ProjectedStack: its `shape` and `@`."""
+
+    stack: ProjectedStack
+
+    @property
+    def shape(self):
+        k = min(self.stack.shape)
+        return k, k
+
+    def __matmul__(self, x):
+        m, n = self.stack.shape
+        if m >= n:
+            return self.stack.tdot(self.stack.dot(x))
+        return self.stack.dot(self.stack.tdot(x))
+
+
 def _check_matrix(a, name="a"):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -145,7 +224,8 @@ def _svd_lapack(a, r):
 
 
 def _chebyshev_filter(g, x, gx, upper, degree):
-    """T_degree(2 g / upper - 1) applied to the columns of x, given gx = g @ x.
+    """T_degree(2 g / upper - 1) applied to the columns of x, given gx = g @ x;
+    g is used only through products `g @ x`.
 
     The Chebyshev polynomial stays within [-1, 1] on the eigenvalues in
     [0, upper] and grows fastest outside it, so the components above `upper`
@@ -162,7 +242,8 @@ def _chebyshev_filter(g, x, gx, upper, degree):
 
 def _subspace_eigh(g, r):
     """Top-r eigenpairs of the symmetric PSD matrix g by filtered subspace
-    iteration.
+    iteration.  g is an array or an operator such as `_StackGram`: only its
+    `shape` and products `g @ x` are used.
 
     A block of width l = 2r + 5, started from one fixed random stream (it
     only seeds the iteration), takes one product and QR, and the
@@ -269,13 +350,43 @@ def _svd_gram(a, r):
     return left, s, right
 
 
+def _svd_stack(stack, r):
+    """Top-r SVD of a ProjectedStack from products with its Gram matrix.
+
+    Returns None when `_subspace_eigh` declines or the smallest requested
+    component is below `_GRAM_MIN_RATIO` of the largest, in which case the
+    caller forms the stack and takes the array route.  Logs one
+    `event=gram_eig` line with the route taken.
+    """
+    m, n = stack.shape
+    top, detail = _subspace_eigh(_StackGram(stack), r)
+    if top is not None and top[0][-1] <= _GRAM_MIN_RATIO * top[0][0]:
+        top, detail = None, "ratio"
+    if top is None:
+        logger.debug("event=gram_eig k=%d r=%d route=dense reason=%s", min(m, n), r, detail)
+        return None
+    logger.debug("event=gram_eig k=%d r=%d route=stack iters=%d products=%d",
+                 min(m, n), r, *detail)
+    w, v = top
+    s = np.sqrt(np.maximum(w, 0.0))
+    if m >= n:
+        return stack.dot(v) / s, s, v
+    return v, s, stack.tdot(v) / s
+
+
 def truncated_svd(a, r) -> SvdFactors:
     """Top-r singular value decomposition with a deterministic sign convention.
 
-    The reconstruction left @ diag(singvals) @ right.T is the best rank-r
-    approximation of `a` in Frobenius norm.  Every request takes one route:
-    the eigendecomposition of the short-side Gram matrix, so no factor
-    larger than the input is ever formed.
+    `a` is an array or a `ProjectedStack`.  The reconstruction
+    left @ diag(singvals) @ right.T is the best rank-r approximation of `a`
+    in Frobenius norm.  Every request takes one route: the top eigenpairs of
+    the short-side Gram matrix, so no factor larger than the input is ever
+    formed.  An array request forms that Gram matrix; a stack request runs
+    the subspace iteration below on products with it, computed one study
+    block at a time, and logs `route=stack iters=N products=P`.  When that
+    iteration declines (for any reason below, or the `_GRAM_MIN_RATIO`
+    guard), it logs `route=dense reason=...`, the stack is formed once, and
+    the request goes on as an array request.
 
     Only the top r eigenpairs are computed, by seeded subspace iteration: a
     first Rayleigh-Ritz step, then Chebyshev-filtered steps on the Ritz
@@ -304,14 +415,20 @@ def truncated_svd(a, r) -> SvdFactors:
     `gesvd`, logged as `event=svd_fallback`.  Raises NumericalError, naming
     the shape and rank, when the retry fails as well.
     """
-    a = _check_matrix(a)
+    stacked = isinstance(a, ProjectedStack)
+    if not stacked:
+        a = _check_matrix(a)
     m, n = a.shape
     small = min(m, n)
     r = int(r)
     if not 1 <= r <= small:
         raise DimensionError(f"rank r={r} outside [1, {small}] for shape {a.shape}")
 
-    out = _svd_gram(a, r)
+    out = _svd_stack(a, r) if stacked else None
+    if out is None:
+        if stacked:
+            a = a.dense()
+        out = _svd_gram(a, r)
     if out is None:
         out = _svd_lapack(a, r)
     left, s, right = out

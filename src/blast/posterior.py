@@ -190,9 +190,10 @@ def estimate_hyperparams(dataset: MultiStudyDataset, fe: FactorEstimates,
         if dims.q_s[s] == 0:
             tau_gamma_sq.append(None)
             continue
-        n_s = dataset.n_s[s]
-        resid = y_s - fe.m_hat_s[s] @ mu_prov.T
-        theta_s = float(np.sum((fe.u_perp_s[s].T @ resid) ** 2) / n_s)
+        u = fe.u_perp_s[s]
+        # U_s^T (Y_s - m_hat_s mu_prov^T), without the n_s x p difference
+        coef = u.T @ y_s - (u.T @ fe.m_hat_s[s]) @ mu_prov.T
+        theta_s = float(np.sum(coef**2) / dataset.n_s[s])
         tau_gamma_sq.append(theta_s / (dims.q_s[s] * omega))
     return Hyperparams(
         tau_lambda_sq=tau_lambda_sq,

@@ -78,7 +78,7 @@ class JicTrace:
 def _study_svd_summary(y_s, k_max):
     """One truncated SVD plus the column statistics reused for every k."""
     fac = truncated_svd(y_s, k_max)
-    col_sq = np.sum(y_s**2, axis=0)
+    col_sq = np.einsum("ij,ij->j", y_s, y_s)  # bit-equal to np.sum(y_s**2, axis=0)
     # energy captured by each component, per outcome: (d_l * v_jl)^2
     comp_sq = (fac.right * fac.singvals) ** 2  # p x k_max
     return fac, col_sq, comp_sq

@@ -6,12 +6,13 @@ P-tilde = (1/S) sum_s V_s V_s^T, whose leading singular vectors V-bar span the
 shared directions; (3) study-specific factors from Y_s with the shared
 directions projected out; (4) shared factors from the stacked matrices with
 the study-specific factors regressed out.  Projectors are always represented
-by their orthonormal bases, never as p x p matrices.  Every SVD, the
-full-rank ones of `shared_basis` included, forms the Gram matrix of its
-input's short side (`numerics.truncated_svd`), which is p x p when the
-stacked studies have more rows than p.  Inside `run_blast`,
-`study_right_basis` slices the Gram eigenpairs that rank selection computed
-for the same study matrix instead of forming it again.
+by their orthonormal bases, never as p x p matrices.  Every SVD goes
+through its input's short-side Gram matrix (`numerics.truncated_svd`).  The
+per-study and basis SVDs form it; the shared-factor SVD of step (4) forms
+neither the stacked n x p matrix nor its Gram matrix: it works on a
+`numerics.ProjectedStack`, through products computed one study at a time.
+Inside `run_blast`, `study_right_basis` slices the Gram eigenpairs that rank
+selection computed for the same study matrix instead of forming it again.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateSignalError, DimensionError, ParameterError
-from .numerics import _check_matrix, parallel_map, truncated_svd
+from .numerics import ProjectedStack, _check_matrix, parallel_map, truncated_svd
 
 _RANK_TOL = 1e-12
 # the names `projection_weights` decides
@@ -122,8 +123,9 @@ class FactorEstimates:
 
     m_hat = sqrt(n) times the leading left singular vectors of y_c, so
     m_hat^T m_hat = n I_k0 exactly; f_hat_s = sqrt(n_s) u_perp_s likewise.
-    m_hat_s^T f_hat_s = 0 by construction.  The n x p y_c itself is not
-    kept.
+    m_hat_s^T f_hat_s = 0 by construction.  The n x p y_c itself is never
+    formed, unless its SVD declines the product route (see
+    `numerics.truncated_svd`), and is never kept.
     """
 
     m_hat: np.ndarray                # n x k0, stacked shared factors
@@ -214,39 +216,25 @@ def specific_factors(y_s, v_bar, q_s):
     return np.sqrt(n_s) * u_perp, u_perp
 
 
-def _shared_signal(dataset: MultiStudyDataset, u_perp_s):
-    """The stacked shared-signal matrix y_c (n x p): each study block is Y_s
-    minus its projection onto u_perp_s, filled in place."""
-    y_c = np.empty((dataset.n_total, dataset.p))
-    for rows, y_s, u_perp in zip(_split_rows(y_c, dataset.n_s), dataset.studies, u_perp_s):
-        if u_perp.shape[1] == 0:
-            rows[...] = y_s
-        else:
-            np.subtract(y_s, u_perp @ (u_perp.T @ y_s), out=rows)
-    return y_c
-
-
 def shared_factors(dataset: MultiStudyDataset, u_perp_s, k0):
     """Shared factors from the stacked studies with specific factors removed.
 
-    The shared-signal matrix y_c (`_shared_signal`) is decomposed once and
-    m_hat = sqrt(n) u_c, with u_c its leading-k0 left singular vectors.  The
-    posterior needs only two statistics of y_c, so they are taken here and
-    y_c is dropped.  Returns (m_hat, m_hat_s, yc_col_sq, yc_t_m, d_c, v_c)
-    with yc_col_sq the column sums of squares of y_c and yc_t_m = y_c^T m_hat.
+    The shared-signal matrix y_c stacks each study's Y_s minus its
+    projection onto u_perp_s.  It is decomposed once, as a
+    `ProjectedStack`, and m_hat = sqrt(n) u_c, with u_c its leading-k0 left
+    singular vectors.  The posterior needs only two statistics of y_c, and
+    both are taken from the stack.  Returns (m_hat, m_hat_s, yc_col_sq,
+    yc_t_m, d_c, v_c) with yc_col_sq the column sums of squares of y_c and
+    yc_t_m = y_c^T m_hat.
     """
     n = dataset.n_total
-    y_c = _shared_signal(dataset, u_perp_s)
+    y_c = ProjectedStack(dataset.studies, u_perp_s)
     fac = truncated_svd(y_c, k0)
     if fac.singvals[-1] < _RANK_TOL * max(fac.singvals[0], _RANK_TOL):
         raise DegenerateSignalError(f"shared-signal matrix has numerical rank < k0={k0}")
     m_hat = np.sqrt(n) * fac.left
     m_hat_s = _split_rows(m_hat, dataset.n_s)
-    # the statistics come from y_c itself: the per-study identity
-    # sum_s colsq(Y_s) - colsq(U_s^T Y_s) cancels and would move the last bits
-    yc_col_sq = np.einsum("ij,ij->j", y_c, y_c)  # no n x p temporary
-    yc_t_m = y_c.T @ m_hat
-    return m_hat, m_hat_s, yc_col_sq, yc_t_m, fac.singvals, fac.right
+    return m_hat, m_hat_s, y_c.col_sq(), y_c.tdot(m_hat), fac.singvals, fac.right
 
 
 def _split_rows(stacked, n_s):

@@ -125,6 +125,16 @@ class TestRanks:
         assert report["dims"]["q_s"] == [4, 4, 4]
         assert len(report["jic"]) == 3
 
+    def test_each_study_matrix_decomposed_once(self, sim_dir, tmp_path, caplog):
+        # the rank-k_hat bases reuse the rank-k_max eigenpairs of each study
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            assert run_cli("ranks", sim_dir, "--out", tmp_path) == 0
+        lines = [r.getMessage() for r in caplog.records if "event=gram_eig" in r.getMessage()]
+        study = [line for line in lines if line.startswith("event=gram_eig k=200 ")]
+        assert sum("route=reuse" in line for line in study) == 3
+        fresh = [line for line in study if "route=reuse" not in line]
+        assert len(fresh) == 3 and all(" r=30 " in line for line in fresh)
+
     def test_pure_noise_reports_k1(self, tmp_path):
         data = tmp_path / "noise"
         ds, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=80, k0=2, q_s=2,

@@ -1,4 +1,3 @@
-import gc
 import logging
 import sys
 import weakref
@@ -330,23 +329,12 @@ class TestFactorizationScope:
         assert len(k_max_lines) == 3 and not any("route=reuse" in x for x in k_max_lines)
         assert sum("route=reuse" in line for line in fits[0]) == 6
 
-    def test_entries_hold_small_copies_not_arrays(self, monkeypatch):
+    def test_entries_hold_small_copies_not_arrays(self):
         dataset, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
                                           loading_sd=0.5, seed=31))
-        y_c_refs = []
-
-        def shared_signal(*args):
-            y_c = real_shared_signal(*args)
-            y_c_refs.append(weakref.ref(y_c))
-            return y_c
-
-        real_shared_signal = spectral._shared_signal
-        monkeypatch.setattr(spectral, "_shared_signal", shared_signal)
         with numerics._factorization_scope():
             dims = ranks.select_dims(dataset, ranks.RankSelectionConfig())
             spectral.estimate_factors(dataset, dims)
-            gc.collect()
-            assert len(y_c_refs) == 1 and y_c_refs[0]() is None
             entries = list(numerics._FIT_EIGENPAIRS.get().values())
         assert entries
         for ref, w, v in entries:
@@ -390,7 +378,8 @@ def desk_requests(monkeypatch, caplog):
 
     def recording_svd(a, r):
         fac = truncated_svd(a, r)
-        requests.append((np.array(a), r, fac))
+        dense = a.dense() if isinstance(a, numerics.ProjectedStack) else np.array(a)
+        requests.append((dense, r, fac))
         return fac
 
     monkeypatch.setattr(ranks, "truncated_svd", recording_svd)
@@ -407,14 +396,14 @@ class TestPipelineRequests:
         # the route each request shape takes at desk scale: rank selection
         # at k_max = 30 declines at the first Ritz step, the bases at rank 9
         # reuse its eigenpairs, the full-rank shared bases are too narrow
-        # for a block, the specific (r=4) and shared (r=5) factors converge
-        # by iteration
+        # for a block, the specific (r=4) factors converge by iteration, and
+        # the shared (r=5) factors by iteration on the unformed stack
         expected = {
             (200, 30): "route=full reason=slow_gap",
             (200, 9): "route=reuse",
             (27, 27): "route=full reason=wide_block",
             (200, 4): "route=subspace iters=",
-            (200, 5): "route=subspace iters=",
+            (200, 5): "route=stack iters=",
         }
         counts = {}
         for (a, r, _), line in zip(requests, lines):
@@ -445,6 +434,58 @@ class TestPipelineRequests:
             np.testing.assert_allclose(fac.singvals, dense.singvals[:r], rtol=1e-12, atol=0)
             assert sine_largest_angle(fac.left, dense.left[:, :r]) <= 1e-10
             assert sine_largest_angle(fac.right, dense.right[:, :r]) <= 1e-10
+
+
+def projected_stack(rng, n_studies, n_per_study, p, q_s, seed):
+    """A ProjectedStack over a generated dataset, with random orthonormal
+    U_s of q_s columns."""
+    dataset, _ = generate(SimScenario(n_studies=n_studies, n_per_study=n_per_study, p=p,
+                                      k0=5, q_s=4, loading_sd=0.5, seed=seed))
+    bases = [random_orthonormal(rng, n_per_study, q_s) for _ in range(n_studies)]
+    return numerics.ProjectedStack(dataset.studies, bases)
+
+
+class TestProjectedStack:
+    @pytest.mark.parametrize("shape", [(5, 500, 2000), (2, 150, 600)], ids=["n>p", "n<p"])
+    def test_matches_dense_lapack_within_tolerance(self, rng, monkeypatch, caplog, shape):
+        # the large-p shared-factor request (2500 x 2000), and a stack with
+        # fewer rows than columns, against dense LAPACK on the formed stack
+        stack = projected_stack(rng, *shape, q_s=4, seed=701)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            fac = truncated_svd(stack, 5)
+        assert gram_eig_lines(caplog)[0].startswith(
+            f"event=gram_eig k={min(stack.shape)} r=5 route=stack iters=")
+        dense = dense_truncated_svd(monkeypatch, stack.dense(), 5)
+        np.testing.assert_allclose(fac.singvals, dense.singvals, rtol=1e-12, atol=0)
+        assert sine_largest_angle(fac.left, dense.left) <= 1e-10
+        assert sine_largest_angle(fac.right, dense.right) <= 1e-10
+
+    @pytest.mark.parametrize("r, reason", [(20, "slow_gap"), (60, "wide_block"), (8, "ratio")])
+    def test_declined_request_takes_the_array_route(self, rng, caplog, r, reason):
+        # r=8 asks for three components of pure roundoff: the stack has rank 5
+        stack = projected_stack(rng, 3, 40, 120, q_s=2, seed=3)
+        if reason == "ratio":
+            v = random_orthonormal(rng, 120, 5)
+            stack = numerics.ProjectedStack([(y @ v) @ v.T for y in stack.blocks], stack.bases)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            fac = truncated_svd(stack, r)
+        lines = gram_eig_lines(caplog)
+        assert lines[0] == f"event=gram_eig k=120 r={r} route=dense reason={reason}"
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            assert_same_factors(fac, truncated_svd(stack.dense(), r))
+        assert lines[1:] == gram_eig_lines(caplog)
+
+    def test_products_match_the_formed_stack(self, rng):
+        stack = projected_stack(rng, 3, 40, 30, q_s=2, seed=4)
+        dense = stack.dense()
+        x, z = rng.standard_normal((30, 3)), rng.standard_normal((120, 3))
+        np.testing.assert_allclose(stack.dot(x), dense @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stack.tdot(z), dense.T @ z, rtol=0, atol=1e-12)
+        gram = numerics._StackGram(stack)
+        assert gram.shape == (30, 30)
+        np.testing.assert_allclose(gram @ x, dense.T @ (dense @ x), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(stack.col_sq(), np.sum(dense**2, axis=0), rtol=1e-12)
 
 
 class TestProcrustes:

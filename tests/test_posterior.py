@@ -104,6 +104,22 @@ class TestHyperparams:
         _, _, _, _, v2 = fit_lambda_posterior(fe2, hp2)
         np.testing.assert_allclose(v2, 9.0 * v1, rtol=1e-8)
 
+    @pytest.mark.parametrize("n_studies, n_per_study, p, seed",
+                             [(3, 300, 200, 101), (5, 500, 2000, 701)], ids=["desk", "large_p"])
+    def test_study_scales_match_the_residual_formula(self, n_studies, n_per_study, p, seed):
+        ds, _ = generate(SimScenario(n_studies=n_studies, n_per_study=n_per_study, p=p, k0=5,
+                                     q_s=4, loading_sd=0.5, seed=seed))
+        dims = LatentDims(k0=5, k_s=(9,) * n_studies, q_s=(4,) * n_studies)
+        fe = estimate_factors(ds, dims)
+        hp = estimate_hyperparams(ds, fe, dims)
+        omega = float(np.sum(post._residual_variances(fe)))
+        mu_prov = fe.yc_t_m / (fe.n_total + 1.0)
+        for s, y in enumerate(ds.studies):
+            resid = y - fe.m_hat_s[s] @ mu_prov.T
+            theta_s = float(np.sum((fe.u_perp_s[s].T @ resid) ** 2) / ds.n_s[s])
+            want = theta_s / (dims.q_s[s] * omega)
+            assert abs(hp.tau_gamma_sq[s] - want) <= 1e-12 * want
+
     def test_q_zero_leaves_tau_unset(self):
         ds, truth = generate(SimScenario(n_studies=2, n_per_study=40, p=20, k0=2,
                                          q_s=(0, 2), loading_sd=1.0, seed=3))

@@ -52,6 +52,17 @@ def per_k_criterion(y, k_max):
     return np.array(loglik), np.array(tau_sq)
 
 
+@pytest.mark.parametrize("n_s, p", [(500, 2000), (300, 200), (500, 1000), (150, 60)])
+def test_column_sums_bit_equal_to_squared_copy(n_s, p):
+    # the workload study shapes: the JIC traces read these sums, so their
+    # bytes must not move with how they are computed
+    ds, _ = generate(SimScenario(n_studies=1, n_per_study=n_s, p=p, k0=3, q_s=2,
+                                 loading_sd=0.5, seed=n_s + p))
+    y = ds.studies[0]
+    _, col_sq, _ = _study_svd_summary(y, 5)
+    assert col_sq.tobytes() == np.sum(y**2, axis=0).tobytes()
+
+
 class TestSurrogateLoglik:
     def test_matches_dense_oracle(self, rng):
         y = rng.standard_normal((25, 12)) + 3.0 * np.outer(
