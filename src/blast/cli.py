@@ -346,8 +346,7 @@ def cmd_predict(args) -> int:
     models = _load_fit_models(args.fit_dir)
     test_path = Path(args.test)
     if test_path.is_dir():
-        tests = [(s + 1, y) for s, (y, _) in
-                 enumerate(io.read_study_csv(p) for p in io.study_csv_paths(test_path))]
+        tests = list(enumerate(io.read_studies(test_path)[0], start=1))
     else:
         y, _ = io.read_study_csv(test_path)
         study = getattr(args, "study", None) or 1

@@ -2,11 +2,13 @@
 
 Datasets are one CSV per study (`study_<s>.csv`, 1-based), first row the
 outcome names, one sample per subsequent row; all studies must share the
-header exactly.  Values are written as the shortest round-trip repr of each
-float, so a read-back is bit-exact.  Posterior draws go to one packed
-little-endian binary (magic "BLASTDRW", version 2) with a JSON manifest: one
-block per draw component, each with the draw axis first.  Every JSON artifact
-validates against a shipped schema.
+header exactly.  A written file is byte for byte what csv.writer writes for
+rows of `repr(float(v))` strings, with \\r\\n line ends, so a read-back is
+bit-exact.  orjson formats the rows; the values it would write in another
+notation (nonzero |v| < 1e-4, and |v| >= 1e16) are written by `repr`.
+Posterior draws go to one packed little-endian binary (magic "BLASTDRW",
+version 2) with a JSON manifest: one block per draw component, each with the
+draw axis first.  Every JSON artifact validates against a shipped schema.
 """
 
 import contextlib
@@ -172,21 +174,38 @@ def _parse_study_csv(path):
     return np.asarray(rows, dtype=np.float64), header
 
 
-def load_dataset(data_dir) -> MultiStudyDataset:
-    """Read all study CSVs of a directory into one dataset."""
-    paths = study_csv_paths(data_dir)
+def read_studies(data_dir):
+    """The matrices of a directory's study CSVs, in study order, and the
+    header they share; a header that differs from study_1.csv's raises
+    DataError."""
     studies, header = [], None
-    for path in paths:
+    for path in study_csv_paths(data_dir):
         y, h = read_study_csv(path)
         if header is None:
             header = h
         elif h != header:
             raise DataError(f"{path}: header differs from study_1.csv; all studies must share outcomes")
         studies.append(y)
+    return studies, header
+
+
+def load_dataset(data_dir) -> MultiStudyDataset:
+    """Read all study CSVs of a directory into one dataset."""
+    studies, header = read_studies(data_dir)
     return MultiStudyDataset(tuple(studies), outcome_names=tuple(header))
 
 
 def write_dataset(data_dir, dataset: MultiStudyDataset):
+    """One `study_<s>.csv` per study: the outcome names as a csv.writer row,
+    then one line per sample.  The bytes are what csv.writer writes for the
+    rows of `repr(float(v))` strings: each value is its shortest round-trip
+    repr, no field is quoted, and every line ends in \\r\\n.
+
+    Rows are formatted by orjson, whose shortest-digit floats are the
+    repr's for 0 and for every finite |v| in [1e-4, 1e16).  Outside that
+    range the two differ only in notation (orjson writes `0.00001` and
+    `1e16` where repr writes `1e-05` and `1e+16`), so those values alone
+    are written by `repr`."""
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     names = dataset.outcome_names or tuple(f"y{j+1}" for j in range(dataset.p))
@@ -194,11 +213,31 @@ def write_dataset(data_dir, dataset: MultiStudyDataset):
         path = data_dir / f"study_{s}.csv"
         with path.open("w", newline="") as fh:
             csv.writer(fh).writerow(names)
-            # what csv.writer writes for these rows: a float's repr needs no
-            # quoting, and its line terminator is \r\n.  One row at a time
-            # keeps the Python floats to one row.
-            for row in y:
-                fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+            fh.writelines(_csv_lines(y))
+
+
+_CSV_BLOCK_ROWS = 64
+
+
+def _csv_lines(y):
+    """The \\r\\n-ended lines of y's rows, in `repr`'s notation.  The
+    range test runs on blocks of rows to keep its temporaries small; orjson
+    is imported here, so that only writing a dataset loads it."""
+    import orjson
+
+    for start in range(0, y.shape[0], _CSV_BLOCK_ROWS):
+        block = y[start:start + _CSV_BLOCK_ROWS]
+        a = np.abs(block)
+        by_repr = ~((a < 1e16) & ((a >= 1e-4) | (a == 0)))
+        for row, patch in zip(block, by_repr):
+            # orjson refuses a non-contiguous array
+            line = orjson.dumps(np.ascontiguousarray(row), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            if patch.any():
+                fields = line.split(b",")
+                for j in np.flatnonzero(patch):
+                    fields[j] = repr(float(row[j])).encode()
+                line = b",".join(fields)
+            yield (line + b"\r\n").decode()
 
 
 def write_truth(path, truth):

@@ -398,6 +398,22 @@ class TestExitCodes:
         assert "study_1.csv: row 3: field larger than field limit" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_study_headers_must_agree(self, point_fit_dir, tmp_path, caplog, command):
+        # `predict --test DIR` checks the headers as loading a dataset does
+        data = tmp_path / "headers"
+        data.mkdir()
+        (data / "study_1.csv").write_text("a,b\n1.0,2.0\n2.0,1.0\n")
+        (data / "study_2.csv").write_text("a,c\n1.0,2.0\n2.0,1.0\n")
+        argv = {"fit": ["fit", data, "--nmc", 0, "--out", tmp_path / "fit"],
+                "predict": ["predict", point_fit_dir, "--test", data,
+                            "--out", tmp_path / "out"]}[command]
+        assert run_cli(*argv) == 3
+        detail = (f"{data / 'study_2.csv'}: header differs from study_1.csv; "
+                  "all studies must share outcomes")
+        assert [r.getMessage() for r in caplog.records if "event=data_error" in r.getMessage()] \
+            == [f"event=data_error detail={detail!r}"]
+
     def test_numerical_error(self, tmp_path):
         # pure noise: fit cannot find shared structure
         data = tmp_path / "noise"

@@ -1,14 +1,19 @@
 import csv
 import json
 import logging
+import os
 import struct
+import subprocess
+import sys
 from io import StringIO
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blast import io
 from blast.errors import DataError, ParseError
@@ -319,6 +324,60 @@ class TestWriteDataset:
         assert loaded.outcome_names == tuple(n.strip() for n in self.NAMES)
         for study in loaded.studies:
             assert study.tobytes() == self.VALUES.tobytes()
+
+    # Each side of the range where orjson's notation is repr's, and values
+    # whose repr ends in ".0".
+    BOUNDARY = (1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e16,
+                np.nextafter(1e16, 0.0), -0.0, 0.0, 5e-324, np.finfo(np.float64).max,
+                1.0, 1e15, 2.0**53, 123456789.0)
+
+    def assert_written_as_reference(self, data_dir, ds):
+        io.write_dataset(data_dir, ds)
+        names = [f"y{j}" for j in range(1, ds.p + 1)]
+        for s, y in enumerate(ds.studies, start=1):
+            assert (data_dir / f"study_{s}.csv").read_bytes() == csv_writer_reference(names, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(2, 8)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_property_bytes_equal_csv_writer(self, tmp_path_factory, y):
+        self.assert_written_as_reference(tmp_path_factory.mktemp("write"),
+                                         MultiStudyDataset((y,)))
+
+    def test_boundary_values(self, tmp_path):
+        v = np.array(self.BOUNDARY)
+        alone = np.where(np.eye(len(v), dtype=bool), v, 1.0)  # row i: v[i] among ones
+        y = np.vstack([v, alone])
+        self.assert_written_as_reference(tmp_path, MultiStudyDataset((y, -y)))
+
+    def test_non_contiguous_studies(self, tmp_path):
+        y = np.random.default_rng(3).standard_normal((12, 10)) * np.logspace(-8, 20, 10)
+        fortran, strided = np.asfortranarray(y), np.vstack([y, y])[::2, ::2]
+        ds = MultiStudyDataset((fortran[:, :5], strided))
+        assert not any(study.flags.c_contiguous for study in ds.studies)
+        self.assert_written_as_reference(tmp_path, ds)
+
+    def test_cli_scale_dataset(self, tmp_path):
+        ds, _ = generate(SimScenario(n_studies=3, n_per_study=500, p=1000, k0=5, q_s=4,
+                                     loading_sd=0.5, seed=101))
+        self.assert_written_as_reference(tmp_path, ds)
+
+    def test_orjson_loaded_only_by_writing(self, tmp_path):
+        script = ("import sys\n"
+                  "import blast, blast.io, blast.cli\n"
+                  "from blast import BlastConfig, SimScenario, generate, run_blast\n"
+                  "ds, _ = generate(SimScenario(n_studies=2, n_per_study=60, p=20, k0=2,"
+                  " q_s=1, loading_sd=1.0, seed=5))\n"
+                  "run_blast(ds, BlastConfig(n_mc=5, seed=1))\n"
+                  "assert 'orjson' not in sys.modules, 'orjson imported'\n"
+                  "blast.io.write_dataset(sys.argv[1], ds)\n"
+                  "assert 'orjson' in sys.modules\n")
+        src = str(Path(io.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestJsonValidation:
