@@ -9,6 +9,7 @@ error as structured `LEVEL key=value` lines.  Exit codes: 0 success,
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -463,6 +464,7 @@ def _add_config_flags(parser):
 
 
 def build_parser():
+    """The `blast` argument parser; subcommand NAME runs `cmd_NAME`."""
     parser = argparse.ArgumentParser(
         prog="blast",
         description="Multi-study factor analysis: spectral factors plus "
@@ -473,17 +475,14 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="generate synthetic datasets; optionally fit and score them")
     _add_config_flags(p_sim)
     p_sim.add_argument("--fit", action="store_true", help="fit each replicate and write metrics")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_ranks = sub.add_parser("ranks", help="select latent dimensions for a dataset directory")
     p_ranks.add_argument("data_dir")
     _add_config_flags(p_ranks)
-    p_ranks.set_defaults(func=cmd_ranks)
 
     p_fit = sub.add_parser("fit", help="run the full pipeline on a dataset directory")
     p_fit.add_argument("data_dir")
     _add_config_flags(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="held-out prediction from a fit directory")
     p_pred.add_argument("fit_dir")
@@ -491,21 +490,25 @@ def build_parser():
     p_pred.add_argument("--study", type=int, default=None, help="study index for a single test CSV")
     p_pred.add_argument("--split-file", default=None, help="JSON file with an 'observed' index list")
     _add_config_flags(p_pred)
-    p_pred.set_defaults(func=cmd_predict)
 
     p_rep = sub.add_parser("report", help="validate and summarize report files in a directory")
     p_rep.add_argument("dir")
     _add_config_flags(p_rep)
-    p_rep.set_defaults(func=cmd_report)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser, built once per process (building takes milliseconds)."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so that a replaced cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         logger.error("event=config_error detail=%r", str(exc))
         return 2

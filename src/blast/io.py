@@ -6,6 +6,10 @@ header exactly.  A written file is byte for byte what csv.writer writes for
 rows of `repr(float(v))` strings, with \\r\\n line ends, so a read-back is
 bit-exact.  orjson formats the rows; the values it would write in another
 notation (nonzero |v| < 1e-4, and |v| >= 1e16) are written by `repr`.
+orjson also parses the rows on read, each line as a JSON array; a line of
+anything but plain numbers, commas and whitespace, or with a `-0` integer
+(whose sign JSON drops), sends the file to the csv-and-`float` reference
+parser, whose result or error is the reader's.
 Posterior draws go to one packed little-endian binary (magic "BLASTDRW",
 version 2) with a JSON manifest: one block per draw component, each with the
 draw axis first.  Every JSON artifact validates against a shipped schema.
@@ -23,7 +27,6 @@ import os
 import re
 import struct
 import time
-import warnings
 import zipfile
 from pathlib import Path
 
@@ -78,10 +81,10 @@ def _open(path, mode="r", **kwargs):
 def read_study_csv(path):
     """One study matrix plus its header; parse errors carry row/col.
 
-    The body is parsed by one `np.loadtxt` pass.  Any file that pass does
-    not take whole (an error, a warning, no rows, or a width other than the
-    header's) is parsed again by `_parse_study_csv`, which defines what is
-    accepted and which error is raised."""
+    The body is parsed line by line as JSON arrays by `_load_study_csv`.
+    Any file that parser does not take whole (a line it declines, no rows)
+    is parsed again by `_parse_study_csv`, which defines what is accepted
+    and which error is raised."""
     path = Path(path)
     t0 = time.perf_counter()
     parsed, route = _load_study_csv(path), "fast"
@@ -93,37 +96,58 @@ def read_study_csv(path):
     return parsed
 
 
+# Past a successful JSON parse, a line free of these holds only
+# `0-9 . e E + - ,`, space, tab, CR and LF: they open every JSON string,
+# array, object and literal (true, false, null).
+_JSON_NON_NUMBERS = '"[{tfn'
+
+
 def _load_study_csv(path):
-    """`_parse_study_csv`'s result by C-level parsing, or None where that
-    parser must decide.  loadtxt gets the lines csv gets, skips only empty
-    ones (as csv does), and on the lines `_loadtxt_lines` passes reads a
-    subset of what `float` reads, to the same bits.  `comments=None` keeps
-    it from dropping the text after a '#'."""
+    """`_parse_study_csv`'s result, each body line parsed by orjson as a
+    JSON array, or None where that parser must decide.
+
+    The header goes through csv, and lines that are only a line end are
+    skipped, as csv skips them.  Every other line is declined unless it
+    holds only `0-9 . e E + - ,`, space, tab, CR and LF, has no field over
+    csv's size limit, parses as JSON to a row of the header's width, and
+    has no integer token `-0` (JSON reads it as the int 0, `float` as
+    -0.0).  On such a line each comma-separated field is one JSON number,
+    which orjson rounds to the float `float` gives.  Rows go straight into
+    a float64 array sized from the file and the first line, grown as
+    needed and trimmed at the end.  orjson is imported here, so that only
+    file I/O loads it."""
+    import orjson
+
+    limit = csv.field_size_limit()
     with _open(path, newline="") as fh:
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                y = np.loadtxt(_loadtxt_lines(fh), delimiter=",", comments=None, ndmin=2,
-                               dtype=np.float64)
-        except (StopIteration, ValueError, Warning, csv.Error):
+            y, n = None, 0
+            for line in fh:
+                if line in ("\n", "\r\n", "\r"):
+                    continue
+                row = orjson.loads("[" + line + "]")
+                # an empty row is a line of whitespace, one field to csv
+                if not row or len(row) != len(header) or any(
+                        c in line for c in _JSON_NON_NUMBERS) or (
+                        len(line) > limit and max(map(len, line.split(","))) > limit):
+                    return None
+                if y is None:
+                    size = os.fstat(fh.fileno()).st_size
+                    y = np.empty((size // len(line) + 1, len(header)))
+                elif n == y.shape[0]:
+                    # safe without refcheck: no view of y outlives its statement
+                    y.resize((n + n // 2 + 1, len(header)), refcheck=False)
+                y[n] = row
+                if not y[n].all() and "-0" in map(str.strip, line.split(",")):
+                    return None
+                n += 1
+        except (StopIteration, csv.Error, UnicodeDecodeError, orjson.JSONDecodeError):
             return None
-    if y.shape[0] == 0 or y.shape[1] != len(header):
+    if n == 0:
         return None
+    y.resize((n, len(header)), refcheck=False)
     return y, header
-
-
-def _loadtxt_lines(fh):
-    """The lines of fh, raising ValueError at the first that loadtxt could
-    read where the reference parser does not: one with an ASCII
-    information separator (0x1c-0x1f), which numpy strips around a number
-    and `float` does not, or a field over csv's size limit."""
-    limit = csv.field_size_limit()
-    for line in fh:
-        if any(sep in line for sep in "\x1c\x1d\x1e\x1f") or (
-                len(line) > limit and max(map(len, line.split(","))) > limit):
-            raise ValueError(f"line needs the reference parser: {line[:40]!r}")
-        yield line
 
 
 def _csv_records(fh, path):

@@ -286,34 +286,36 @@ def _lifted_features(g, l, v, ng, nl):
     return zl, zr, np.column_stack([v, ng]), np.column_stack([ng, v])
 
 
-def _pair_summary(zl, zr, dl, dr, diag_b):
-    """Mean/max of b = sqrt(1 + num/den) over unordered pairs, 0/0 as 0.
+def _pair_summary(zl, zr, dl, dr, diag_b, strategy, zero_den):
+    """Mean or max of b = sqrt(1 + num/den) over unordered pairs, 0/0 as 0.
 
     Rows go _PAIR_ROWS at a time against columns [i0, p), two matrix
     products and a few in-place passes over a block that fits in cache.
     The block's own square on and below the diagonal is zeroed; those zeros
     never win the max, since every b >= 1.  The block size is part of the
-    reduction order of the mean.
+    reduction order of the mean.  The pass that sets b = 1 where den is
+    not > 0 runs only if `zero_den` says such a den may occur.
     """
     p = diag_b.shape[0]
     num_buf, den_buf = np.empty(_PAIR_ROWS * p), np.empty(_PAIR_ROWS * p)
-    row_sum, row_max = np.empty(p), np.empty(p)
+    row_stat = np.empty(p)
+    reduce_rows = np.sum if strategy == "mean" else np.max
     lower = np.tri(_PAIR_ROWS, dtype=bool)
     for i0 in range(0, p, _PAIR_ROWS):
         h, w = min(_PAIR_ROWS, p - i0), p - i0
         num = np.matmul(zl[i0:i0 + h], zr[i0:].T, out=num_buf[:h * w].reshape(h, w))
         den = np.matmul(dl[i0:i0 + h], dr[i0:].T, out=den_buf[:h * w].reshape(h, w))
         np.divide(num, den, out=num)
-        np.copyto(num, 0.0, where=~(den > 0.0))
+        if zero_den:
+            np.copyto(num, 0.0, where=~(den > 0.0))
         num += 1.0
         np.sqrt(num, out=num)
         np.copyto(num[:, :h], 0.0, where=lower[:h, :h])
-        np.sum(num, axis=1, out=row_sum[i0:i0 + h])
-        np.max(num, axis=1, out=row_max[i0:i0 + h])
-    n_pairs = p * (p - 1) / 2.0
+        reduce_rows(num, axis=1, out=row_stat[i0:i0 + h])
+    if strategy == "mean":
+        return (float(np.sum(diag_b)) + float(np.sum(row_stat))) / (p * (p - 1) / 2.0)
     # np.maximum, unlike the builtin max, keeps a NaN for _require_finite
-    return ((float(np.sum(diag_b)) + float(np.sum(row_sum))) / n_pairs,
-            float(np.max(np.maximum(diag_b, row_max))))
+    return float(np.max(np.maximum(diag_b, row_stat)))
 
 
 def inflation_lambda(mu_lambda, v_j, strategy="mean", fixed=None) -> float:
@@ -358,11 +360,14 @@ def inflation_gamma(mu_gamma_s, mu_lambda, v_j, strategy="mean", fixed=None) -> 
         # V_j estimates the residual variance sigma_j^2 and substitutes it
         # directly in the oracle factors.
         diag_b = np.sqrt(1.0 + (ng + 2.0 * nl) / (2.0 * v_j))
-        mean, best = _pair_summary(*_lifted_features(mu_gamma_s, mu_lambda, v_j, ng, nl),
-                                   diag_b)
+        # den_ij = v_i ng_j + ng_i v_j, with v > 0, is > 0 unless some ng is
+        # 0 or NaN or a product underflows; the least product tells them all
+        zero_den = not float(np.min(ng)) * float(np.min(v_j)) > 0.0
+        rho = _pair_summary(*_lifted_features(mu_gamma_s, mu_lambda, v_j, ng, nl),
+                            diag_b, strategy, zero_den)
     logger.debug("event=inflation p=%d width=%d seconds=%.6f",
                  p, q * (q + k) + 3, time.perf_counter() - t0)
-    return mean if strategy == "mean" else best
+    return rho
 
 
 def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,

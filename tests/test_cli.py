@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import blast
-from blast import io
+from blast import cli, io
 from blast.cli import RunConfig, build_config, build_parser, main
 from blast.evalsim import SimScenario, generate
 from blast.spectral import MultiStudyDataset
@@ -536,3 +536,20 @@ def test_cli_journey_loads_no_scipy(tmp_path):
         tmp_path / "sim", tmp_path / "fit", tmp_path / "test")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_parser_built_once_and_commands_looked_up_per_call(monkeypatch, tmp_path):
+    # a replaced cmd_* (as a tracer installs) must run even though the
+    # parser was built before the replacement
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        assert run_cli("report", tmp_path) == 3  # no report files
+        ran = []
+        monkeypatch.setattr(cli, "cmd_report", lambda args: ran.append(args.dir) or 0)
+        assert run_cli("report", tmp_path) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert ran == [str(tmp_path)]

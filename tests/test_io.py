@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from io import StringIO
 from pathlib import Path
 
@@ -245,6 +246,28 @@ UNUSUAL_CSVS = {
     "line_over_csv_limit": "a,b\n" + "0" * 131060 + ".5," + "1" * 100 + "\n",
     "not_utf8": b"a,b\n1,2\n\xff,3\n",
     "not_utf8_header": b"\xffa,b\n1,2\n",
+    # where a line's JSON reading and `float` disagree, or might
+    "negative_zero_int": "a,b\n1,2\n3, -0\n",
+    "negative_zero_float": "a,b,c\n-0e0,-0.0,-0E+0\n0,1e-0,-0.5\n",
+    "json_literals": "a,b,c\ntrue,false,null\n",
+    "json_literal_one_column": "a\ntrue\n",
+    "json_array": "a,b\n[1],2\n",
+    "json_array_one_column": "a\n[1]\n",
+    "quoted_one_column": 'a\n"1"\n',
+    "leading_zero": "a,b\n01,2\n",
+    "exponent_spellings": "a,b\n1E5,2e+3\n-1E-5,2E05\n",
+    "int_above_2_53": "a,b\n9007199254740993,-9007199254740993\n",
+    "int_30_digits": "a,b\n" + "1" * 30 + ",-" + "9" * 30 + "\n",
+    "int_past_u64": "a,b\n18446744073709551615,18446744073709551616\n",
+    "int_400_digits": "a,b\n" + "1" * 400 + ",2\n",
+    "whitespace_only_line": "a,b\n1,2\n \t \r\n3,4\n",
+    "whitespace_line_blank_header": "\n \n",
+    "cr_only_ints": "a,b,c\r1,2,3\r40,-5,0",
+    "cr_only_negative_zero_int": "a,b\r1,-0\r",
+    "json_field_over_csv_limit": "a,b\n1,2\n0." + "0" * 131071 + "5,2\n",
+    "json_line_over_csv_limit": "a,b\n" + ",".join(["0." + "0" * 70000 + "5"] * 2) + "\n",
+    # the row count estimated from the first line is too small: the array grows
+    "long_first_row": "a,b\n0." + "1" * 200 + ",2\n" + "3,-4.5\n" * 100,
 }
 
 
@@ -266,7 +289,8 @@ class TestStudyCsvReader:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(
         ["1", "-2.5", "1e3", "nan", "-inf", "1e400", "", " ", "x", "#", "1_0", '"1"', '"',
-         "\xa07", "\x1c", "\u0661", "\r", "\n", "\r\n", ","]), min_size=1, max_size=3),
+         "\xa07", "\x1c", "\u0661", "\r", "\n", "\r\n", ",", "-0", "0", "true", "null",
+         "1E5", "[", "9007199254740993"]), min_size=1, max_size=3),
         max_size=4), st.sampled_from(["\n", "\r\n", "\r"]))
     def test_property_matches_reference_parser(self, tmp_path_factory, rows, newline):
         text = newline.join(["a,b", *("".join(fields) for fields in rows)]) + newline
@@ -280,6 +304,44 @@ class TestStudyCsvReader:
             io.read_study_csv(path)
         (event,) = [r.getMessage() for r in caplog.records if "event=csv_read" in r.getMessage()]
         assert f"path={path} rows=2 cols=2 route={route} seconds=" in event
+
+    @pytest.mark.parametrize("name,route", [
+        ("negative_zero_float", "fast"), ("exponent_spellings", "fast"),
+        ("int_above_2_53", "fast"), ("int_30_digits", "fast"), ("int_past_u64", "fast"),
+        ("cr_only_ints", "fast"), ("blank_lines", "fast"), ("crlf", "fast"),
+        ("negative_zero_int", "reparse"), ("cr_only_negative_zero_int", "reparse"),
+        ("quoted_one_column", "reparse"), ("leading_zero", "reparse"),
+        ("int_400_digits", "reparse"), ("nan_inf_spellings", "reparse"),
+        ("json_line_over_csv_limit", "fast"), ("long_first_row", "fast"),
+        ("padded_fields", "reparse"), ("line_over_csv_limit", "reparse")])
+    def test_route(self, tmp_path, caplog, name, route):
+        # a fast read is bit-equal to the reference (above); these pin which
+        # lines the fast parser takes and which it leaves to the reference
+        path = write_csv(tmp_path / "study_1.csv", UNUSUAL_CSVS[name])
+        with caplog.at_level(logging.DEBUG, logger="blast.io"):
+            io.read_study_csv(path)
+        (event,) = [r.getMessage() for r in caplog.records if "event=csv_read" in r.getMessage()]
+        assert f" route={route} " in event
+
+    def test_cli_scale_study(self, tmp_path, caplog):
+        ds, _ = generate(SimScenario(n_studies=1, n_per_study=500, p=1000, k0=5, q_s=4,
+                                     loading_sd=0.5, seed=101))
+        io.write_dataset(tmp_path, ds)
+        path = tmp_path / "study_1.csv"
+        io.read_study_csv(path)  # imports orjson outside the traced read
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="blast.io"):
+                y, header = io.read_study_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.dtype == np.float64 and y.flags.c_contiguous
+        assert y.tobytes() == ds.studies[0].tobytes()
+        assert header == [f"y{j}" for j in range(1, 1001)]
+        assert " route=fast " in caplog.records[-1].getMessage()
+        # no list of rows beside the array: the read holds about one copy
+        assert peak <= 1.3 * y.nbytes
 
 
 def csv_writer_reference(names, y):
@@ -362,22 +424,28 @@ class TestWriteDataset:
                                      loading_sd=0.5, seed=101))
         self.assert_written_as_reference(tmp_path, ds)
 
-    def test_orjson_loaded_only_by_writing(self, tmp_path):
-        script = ("import sys\n"
-                  "import blast, blast.io, blast.cli\n"
-                  "from blast import BlastConfig, SimScenario, generate, run_blast\n"
-                  "ds, _ = generate(SimScenario(n_studies=2, n_per_study=60, p=20, k0=2,"
-                  " q_s=1, loading_sd=1.0, seed=5))\n"
-                  "run_blast(ds, BlastConfig(n_mc=5, seed=1))\n"
-                  "assert 'orjson' not in sys.modules, 'orjson imported'\n"
-                  "blast.io.write_dataset(sys.argv[1], ds)\n"
-                  "assert 'orjson' in sys.modules\n")
+    def test_orjson_loaded_only_by_file_io(self, tmp_path):
+        write = ("import sys\n"
+                 "import blast, blast.io, blast.cli\n"
+                 "from blast import BlastConfig, SimScenario, generate, run_blast\n"
+                 "ds, _ = generate(SimScenario(n_studies=2, n_per_study=60, p=20, k0=2,"
+                 " q_s=1, loading_sd=1.0, seed=5))\n"
+                 "run_blast(ds, BlastConfig(n_mc=5, seed=1))\n"
+                 "assert 'orjson' not in sys.modules, 'orjson imported'\n"
+                 "blast.io.write_dataset(sys.argv[1], ds)\n"
+                 "assert 'orjson' in sys.modules\n")
+        read = ("import sys\n"
+                "import blast, blast.io, blast.cli\n"
+                "assert 'orjson' not in sys.modules, 'orjson imported'\n"
+                "blast.io.read_study_csv(sys.argv[1] + '/study_1.csv')\n"
+                "assert 'orjson' in sys.modules\n")
         src = str(Path(io.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
+        for script in (write, read):
+            done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
 
 
 class TestJsonValidation:

@@ -371,6 +371,19 @@ class TestInflation:
                 assert not np.isfinite(inflation_gamma(mu_g, mu_l, v, strategy=strategy))
                 assert not np.isfinite(inflation_lambda(mu_l, v, strategy=strategy))
 
+    def test_underflowing_den_is_zero_den(self, rng):
+        # every ng > 0, but v_i ng_j underflows: each pair is 0/0, so b = 1
+        p = 100
+        mu = 1e-100 * rng.standard_normal((p, 3))
+        v = 1e-200 * rng.uniform(0.5, 2.0, size=p)
+        ng = np.sum(mu**2, axis=1)
+        assert np.all(ng > 0.0) and np.min(ng) * np.min(v) == 0.0
+        diag_b = np.sqrt(1.0 + ng / (2.0 * v))
+        n_pairs = p * (p - 1) / 2.0
+        np.testing.assert_allclose(inflation_lambda(mu, v, strategy="mean"),
+                                   (np.sum(diag_b) + n_pairs) / n_pairs, rtol=1e-12)
+        assert inflation_lambda(mu, v, strategy="max") == np.max(diag_b)
+
     def test_fixed_strategy(self, rng):
         mu = rng.standard_normal((4, 2))
         v = np.ones(4)
