@@ -3,17 +3,22 @@ order-preserving thread fan-out.
 
 Every SVD (`truncated_svd`), low-rank or full-rank, goes through the top
 eigenpairs of its input's short-side Gram matrix; dense LAPACK runs only
-when that route declines.  An array request forms that Gram matrix.  A
-`ProjectedStack` request (the shared-signal matrix of `spectral`) never
-forms it, nor the stack itself: its eigenpairs come from products computed
-one study block at a time.
+when that route declines.  An array request forms that Gram matrix.  Two
+operators are never formed unless their route declines.  A `ProjectedStack`
+(the shared-signal matrix of `spectral`) takes products with its Gram
+matrix, each reading every study once, in cache-sized row blocks.  A
+`ProjectedStudy` (one study with the shared directions projected out)
+downdates the Gram matrix that an earlier request of the same fit formed
+for its study.
 
 No function mutates its inputs, so every operation is safe to call from
 multiple threads.  The public functions are pure with one scoped exception:
 inside `_factorization_scope`, which `posterior.run_blast` opens around one
 fit's rank selection and factor estimation, `truncated_svd` keeps the Gram
-eigenpairs of each input array and serves a later request of no higher rank
-on the same array from them.  Nothing is kept outside that scope, and
+matrix and its top eigenpairs of each input array.  It serves a later
+request of no higher rank on the same array from the eigenpairs, and a
+`ProjectedStudy` request on it from the Gram matrix, which that request
+takes out of the scope.  Nothing is kept outside that scope, and
 `parallel_map` runs its tasks in copies of the caller's context, so the
 worker threads of a fit share its memo.
 """
@@ -46,21 +51,31 @@ _EIG_TOL = 1e-13
 # Highest degree of the Chebyshev filter applied after the first Ritz step.
 _FILTER_DEGREE = 4
 
+# Bytes of one row block of a study in a fused stack Gram product: small
+# enough that the block is still in cache when it is read the second time.
+_BLOCK_BYTES = 512 * 1024
+_MIN_BLOCK_ROWS = 32
 
-# Gram eigenpairs kept for the current fit, by id() of the input array:
-# (weakref to the array, top-R eigenvalues, k x R eigenvectors).  None
-# outside `_factorization_scope`.
+
+# Gram matrices and their eigenpairs kept for the current fit, by id() of
+# the input array: (weakref to the array, top-R eigenvalues, k x R
+# eigenvectors, the lower triangle of the k x k Gram matrix, packed by
+# `_pack_lower`).  None outside `_factorization_scope`.
 _FIT_EIGENPAIRS = contextvars.ContextVar("fit_eigenpairs", default=None)
 
 
 @contextlib.contextmanager
 def _factorization_scope():
-    """Keep each array's Gram eigenpairs until the scope closes, so that a
-    later `truncated_svd` request of no higher rank on the same array object
-    slices them instead of decomposing again.
+    """Keep each array's Gram matrix and eigenpairs until the scope closes,
+    so that a later `truncated_svd` request of no higher rank on the same
+    array object slices the eigenpairs instead of decomposing again, and a
+    `ProjectedStudy` request on it downdates the Gram matrix.
 
-    An entry holds a weakref to its array and copies of the top eigenpairs,
-    never the array itself.  Arrays must not be mutated inside the scope.
+    An entry holds a weakref to its array, copies of the top eigenpairs and
+    the lower triangle of the Gram matrix (half its size, so that the
+    entries of earlier studies add less to the peak of a later study's
+    decomposition), never the array itself.  A `ProjectedStudy` request
+    removes its study's entry.  Arrays must not be mutated inside the scope.
     """
     token = _FIT_EIGENPAIRS.set({})
     try:
@@ -91,11 +106,12 @@ class ProjectedStack:
     """The row stack of the blocks Y_s - U_s (U_s^T Y_s), never formed.
 
     Each U_s (n_s x q_s, q_s may be 0) has orthonormal columns.  Keeps
-    W_s = U_s^T Y_s (q_s x p) and exposes products with the stack (`dot`)
-    and with its transpose (`tdot`); `_StackGram` makes its short-side Gram
-    matrix from the two.  Every product sums over the studies in their
-    order, so its bytes do not depend on the caller's thread count.  The
-    blocks must not be mutated while the stack is in use.
+    W_s = U_s^T Y_s (q_s x p) and exposes products with the stack (`dot`),
+    with its transpose (`tdot`) and with its p x p Gram matrix
+    (`gram_dot`); `_StackGram` makes its short-side Gram matrix from them.
+    Every product sums over the studies in their order, so its bytes do not
+    depend on the caller's thread count.  The blocks must not be mutated
+    while the stack is in use.
     """
 
     def __init__(self, blocks, bases):
@@ -127,6 +143,25 @@ class ProjectedStack:
             out += part
         return out
 
+    def gram_dot(self, x):
+        """stack.T @ (stack @ x), for x with p rows, reading each study once.
+
+        Each block is (I - U_s U_s^T) Y_s, so its Gram matrix is
+        Y_s^T Y_s - W_s^T W_s.  Y_s^T (Y_s x) is summed over row blocks of
+        about `_BLOCK_BYTES`, each read twice while it is in cache.  Studies
+        and blocks go in a fixed order.
+        """
+        p, width = self.shape[1], x.shape[1]
+        rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * p))
+        out, part = np.zeros((p, width)), np.empty((p, width))
+        for y, w in zip(self.blocks, self.coefs):
+            for lo in range(0, y.shape[0], rows):
+                block = y[lo:lo + rows]
+                out += np.matmul(block.T, block @ x, out=part)
+            if w.shape[0]:
+                out -= np.matmul(w.T, w @ x, out=part)
+        return out
+
     def col_sq(self):
         """Column sums of squares, sum_s colsq(Y_s) - colsq(W_s)."""
         out = np.zeros(self.shape[1])
@@ -147,7 +182,8 @@ class ProjectedStack:
 
 @dataclass(frozen=True)
 class _StackGram:
-    """Short-side Gram matrix of a ProjectedStack: its `shape` and `@`."""
+    """Short-side Gram matrix of a ProjectedStack: its `shape` and `@`, one
+    `gram_dot` when the stack has at least as many rows as columns."""
 
     stack: ProjectedStack
 
@@ -159,8 +195,38 @@ class _StackGram:
     def __matmul__(self, x):
         m, n = self.stack.shape
         if m >= n:
-            return self.stack.tdot(self.stack.dot(x))
+            return self.stack.gram_dot(x)
         return self.stack.dot(self.stack.tdot(x))
+
+
+class ProjectedStudy:
+    """One study with shared directions projected out, Y (I - V V^T), never
+    formed unless its SVD declines the downdate route (`dense` forms it).
+
+    V (p x k) has orthonormal columns.  Neither array may be mutated while
+    the operator is in use.
+    """
+
+    def __init__(self, y, v):
+        self.y, self.v = y, v
+        self.shape = y.shape
+
+    def dense(self):
+        return self.y - (self.y @ self.v) @ self.v.T
+
+
+def _pack_lower(g):
+    """The lower triangle of the square matrix g, row by row."""
+    return g[np.tri(g.shape[0], dtype=bool)]
+
+
+def _unpack_lower(packed, k):
+    """The k x k symmetric matrix whose lower triangle `_pack_lower` packed."""
+    lower = np.tri(k, dtype=bool)
+    g = np.empty((k, k))
+    g[lower] = packed
+    g.T[lower] = packed
+    return g
 
 
 def _check_matrix(a, name="a"):
@@ -254,14 +320,16 @@ def _subspace_eigh(g, r):
     of one QR of it.  Returns ((w, v), (iters, products)), w nonincreasing,
     once every kept pair meets `_EIG_TOL`.  Returns (None, reason) when a
     full `eigh` is the better choice: "wide_block" when the block would span
-    half of g or more, "slow_gap" when the first Ritz ratio
-    theta_l / theta_r predicts more than 2k / l plain products (about the
-    cost of a full `eigh`) or the iteration reaches that many products,
-    "solver" on a LinAlgError or a non-finite value.
+    an eighth of g or more (a rank that wide, like rank selection's k_max,
+    mostly ends inside the noise bulk, where the first Ritz step only
+    declines), "slow_gap" when the first Ritz ratio theta_l / theta_r
+    predicts more than 2k / l plain products (about the cost of a full
+    `eigh`) or the iteration reaches that many products, "solver" on a
+    LinAlgError or a non-finite value.
     """
     k = g.shape[0]
     width = 2 * r + 5
-    if 2 * width >= k:
+    if 8 * width >= k:
         return None, "wide_block"
     cap = 2 * k // width
     omega = RngStream(0, ("gram_eig",)).generator().standard_normal((k, width))
@@ -310,31 +378,32 @@ def _gram_top(g, r):
     return top, f"full reason={detail}"
 
 
-def _svd_gram(a, r):
+def _svd_gram(a, r, memo):
     """Top-r SVD via eigendecomposition of the short-side Gram matrix.
 
     The top r eigenpairs come from `_subspace_eigh`, or from a full `eigh`
-    when it declines; inside `_factorization_scope`, a request on an array
-    whose eigenpairs are kept to rank r or more slices them instead.
-    Returns None when both eigensolvers fail or the smallest requested
-    component is below `_GRAM_MIN_RATIO` of the largest, in which case the
-    caller falls back to LAPACK.  Logs one `event=gram_eig` line with the
-    route taken.
+    when it declines.  `memo` is the fit's memo (see `_factorization_scope`)
+    or None: a request on an array whose eigenpairs it keeps to rank r or
+    more slices them, and any other request leaves its Gram matrix and
+    eigenpairs there.  Returns None when both eigensolvers fail or the
+    smallest requested component is below `_GRAM_MIN_RATIO` of the largest,
+    in which case the caller falls back to LAPACK.  Logs one
+    `event=gram_eig` line with the route taken.
     """
     m, n = a.shape
     transposed = m < n
     b = a.T if transposed else a  # b is tall: rows >= cols
-    memo = _FIT_EIGENPAIRS.get()
     kept = memo.get(id(a)) if memo is not None else None
     if kept is not None and kept[0]() is a and r <= kept[1].size:
         top, route = (kept[1][:r], kept[2][:, :r]), "reuse"
     else:
-        top, route = _gram_top(b.T @ b, r)
+        g = b.T @ b
+        top, route = _gram_top(g, r)
         if top is not None and not _all_finite(*top):
             top = None
         if top is not None and memo is not None:
             # copies, so no k x k eigenvector matrix outlives this request
-            memo[id(a)] = (weakref.ref(a), top[0].copy(), top[1].copy())
+            memo[id(a)] = (weakref.ref(a), top[0].copy(), top[1].copy(), _pack_lower(g))
     if top is not None and top[0][-1] <= _GRAM_MIN_RATIO * top[0][0]:
         top, route = None, "lapack reason=ratio"
     logger.debug("event=gram_eig k=%d r=%d route=%s", b.shape[1], r, route)
@@ -348,6 +417,57 @@ def _svd_gram(a, r):
     else:
         left, right = u, v
     return left, s, right
+
+
+def _svd_downdate(study, r):
+    """Top-r SVD of a ProjectedStudy Y P, P = I - V V^T, from the Gram
+    matrix of Y that the fit's memo keeps, downdated in place.
+
+    With B = Y V, the kept matrix becomes G - B B^T when it is G = Y Y^T
+    (Y has fewer rows than columns), and P G P when it is G = Y^T Y: the
+    Gram matrix of Y P either way.  Its top r eigenpairs come from
+    `_gram_top`, and the other factor from one thin product with Y.  The
+    study's memo entry is removed, since the downdate is the last use of
+    its Gram matrix, which is unpacked once and downdated in place.
+    Cancellation in the downdate costs about eps * lambda_1(G), so the
+    route declines when lambda_r of the downdated matrix is at most
+    `_GRAM_MIN_RATIO` * lambda_1(G); it also declines when no Gram matrix
+    of Y is kept (outside a fit) or both eigensolvers fail.  Returns None
+    when it declines, and the caller forms Y P.  Logs one `event=gram_eig`
+    line: `route=downdate ...` with the eigensolver's route, or
+    `route=formed reason=ratio|no_gram|solver`.
+    """
+    y, v = study.y, study.v
+    m, n = y.shape
+    memo = _FIT_EIGENPAIRS.get()
+    kept = memo.pop(id(y), None) if memo is not None else None
+    top, route = None, "formed reason=no_gram"
+    if kept is not None and kept[0]() is y:
+        g, lam_1 = _unpack_lower(kept[3], min(m, n)), kept[1][0]
+        b = y @ v
+        if m < n:
+            g -= b @ b.T
+        else:
+            gv = g @ v
+            # P G P = G - h - h^T, with h = (G V - V (V^T G V) / 2) V^T
+            h = (gv - v @ ((v.T @ gv) / 2.0)) @ v.T
+            g -= h
+            g -= h.T
+        top, route = _gram_top(g, r)
+        if top is None or not _all_finite(*top):
+            top, route = None, "formed reason=solver"
+        elif top[0][-1] <= _GRAM_MIN_RATIO * lam_1:
+            top, route = None, "formed reason=ratio"
+        else:
+            route = "downdate " + route
+    logger.debug("event=gram_eig k=%d r=%d route=%s", min(m, n), r, route)
+    if top is None:
+        return None
+    w, e = top
+    s = np.sqrt(np.maximum(w, 0.0))
+    if m < n:  # e holds the left singular vectors
+        return e, s, (y.T @ e - v @ (b.T @ e)) / s
+    return (y @ e - b @ (v.T @ e)) / s, s, e
 
 
 def _svd_stack(stack, r):
@@ -377,35 +497,47 @@ def _svd_stack(stack, r):
 def truncated_svd(a, r) -> SvdFactors:
     """Top-r singular value decomposition with a deterministic sign convention.
 
-    `a` is an array or a `ProjectedStack`.  The reconstruction
-    left @ diag(singvals) @ right.T is the best rank-r approximation of `a`
-    in Frobenius norm.  Every request takes one route: the top eigenpairs of
-    the short-side Gram matrix, so no factor larger than the input is ever
-    formed.  An array request forms that Gram matrix; a stack request runs
-    the subspace iteration below on products with it, computed one study
-    block at a time, and logs `route=stack iters=N products=P`.  When that
-    iteration declines (for any reason below, or the `_GRAM_MIN_RATIO`
-    guard), it logs `route=dense reason=...`, the stack is formed once, and
-    the request goes on as an array request.
+    `a` is an array, a `ProjectedStack` or a `ProjectedStudy`.  The
+    reconstruction left @ diag(singvals) @ right.T is the best rank-r
+    approximation of `a` in Frobenius norm.  Every request takes one route:
+    the top eigenpairs of the short-side Gram matrix, so no factor larger
+    than the input is ever formed.  Each request logs one `event=gram_eig`
+    line at DEBUG with the route taken:
+
+    - an array request forms that Gram matrix: `route=subspace iters=N
+      products=P`, `route=full reason=...`, or `route=lapack reason=ratio`;
+      inside a fit, `route=reuse` (below);
+    - a stack request runs the subspace iteration below on products with
+      the Gram matrix, `route=stack iters=N products=P`.  When the stack has
+      at least as many rows as columns, a product reads each study once, in
+      row blocks of about 512 KiB (`ProjectedStack.gram_dot`); otherwise it
+      is `dot` after `tdot`;
+    - a study request downdates the Gram matrix of its study that an
+      earlier request of the same fit formed, `route=downdate subspace ...`
+      or `route=downdate full ...` (see `_svd_downdate`).
+
+    When an operator's route declines (for any reason below, the
+    `_GRAM_MIN_RATIO` guard, or no kept Gram matrix), it logs
+    `route=dense reason=...` (stack) or `route=formed reason=...` (study),
+    the operator is formed once, and the request goes on as an array
+    request outside the fit's memo.
 
     Only the top r eigenpairs are computed, by seeded subspace iteration: a
     first Rayleigh-Ritz step, then Chebyshev-filtered steps on the Ritz
     block until every residual reaches roundoff, so the result never
     depends on the run seed.  When the spectrum has too small a gap after
-    rank r for that to be cheaper, when the block would span half of the
-    Gram matrix, or when the iteration fails, a full `eigh` of the Gram
-    matrix runs instead.  Against dense LAPACK the singular values agree
-    within a relative 1e-12 and each factor's column span within a sine of
-    the largest principal angle of 1e-10.  Each request logs one
-    `event=gram_eig` line at DEBUG with the route taken:
-    `route=subspace iters=N products=P`, `route=full reason=...`, or
-    `route=lapack reason=ratio`.
+    rank r for that to be cheaper, when the block of 2r + 5 columns would
+    span an eighth of the Gram matrix or more, or when the iteration fails,
+    a full `eigh` of the Gram matrix runs instead.  Against dense LAPACK
+    the singular values agree within a relative 1e-12 and each factor's
+    column span within a sine of the largest principal angle of 1e-10.
 
-    Inside one fit (`_factorization_scope`, opened by `run_blast`), the
-    eigenpairs of each input array are kept, and a later request of no
-    higher rank on the same array object slices them and logs
+    Inside one fit (`_factorization_scope`, opened by `run_blast`), the Gram
+    matrix and eigenpairs of each input array are kept.  A later request of
+    no higher rank on the same array object slices the eigenpairs and logs
     `route=reuse`; its factors meet the same tolerance against dense
-    LAPACK.  Outside a fit every request decomposes afresh.
+    LAPACK.  A study request takes its study's Gram matrix out of the memo.
+    Outside a fit every request decomposes afresh.
 
     Dense LAPACK runs only when the Gram route declines: when
     sigma_r^2 / sigma_1^2 is below `_GRAM_MIN_RATIO`, too small for the Gram
@@ -415,20 +547,26 @@ def truncated_svd(a, r) -> SvdFactors:
     `gesvd`, logged as `event=svd_fallback`.  Raises NumericalError, naming
     the shape and rank, when the retry fails as well.
     """
-    stacked = isinstance(a, ProjectedStack)
-    if not stacked:
+    operator = isinstance(a, (ProjectedStack, ProjectedStudy))
+    memo = None
+    if not operator:
         a = _check_matrix(a)
+        memo = _FIT_EIGENPAIRS.get()
     m, n = a.shape
     small = min(m, n)
     r = int(r)
     if not 1 <= r <= small:
         raise DimensionError(f"rank r={r} outside [1, {small}] for shape {a.shape}")
 
-    out = _svd_stack(a, r) if stacked else None
+    out = None
+    if isinstance(a, ProjectedStack):
+        out = _svd_stack(a, r)
+    elif operator:
+        out = _svd_downdate(a, r)
     if out is None:
-        if stacked:
-            a = a.dense()
-        out = _svd_gram(a, r)
+        if operator:
+            a = a.dense()  # dies with this request, so kept out of the memo
+        out = _svd_gram(a, r, memo)
     if out is None:
         out = _svd_lapack(a, r)
     left, s, right = out

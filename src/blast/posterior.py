@@ -186,13 +186,13 @@ def estimate_hyperparams(dataset: MultiStudyDataset, fe: FactorEstimates,
 
     mu_prov = fe.yc_t_m / (n + 1.0)  # provisional fit, prior scale 1
     tau_gamma_sq = []
-    for s, y_s in enumerate(dataset.studies):
+    for s in range(dataset.n_studies):
         if dims.q_s[s] == 0:
             tau_gamma_sq.append(None)
             continue
         u = fe.u_perp_s[s]
         # U_s^T (Y_s - m_hat_s mu_prov^T), without the n_s x p difference
-        coef = u.T @ y_s - (u.T @ fe.m_hat_s[s]) @ mu_prov.T
+        coef = fe.w_s[s] - (u.T @ fe.m_hat_s[s]) @ mu_prov.T
         theta_s = float(np.sum(coef**2) / dataset.n_s[s])
         tau_gamma_sq.append(theta_s / (dims.q_s[s] * omega))
     return Hyperparams(
@@ -261,12 +261,15 @@ def mu_gamma(y_s, m_hat_s, f_hat_s, mu_lambda, tau_gamma_sq) -> np.ndarray:
     Row j is the ridge fit of outcome j on the specific factors after
     removing the shared-fit contribution.
     """
-    q_s = f_hat_s.shape[1]
-    if q_s == 0:
+    if f_hat_s.shape[1] == 0:
         return np.zeros((y_s.shape[1], 0))
-    n_s = y_s.shape[0]
-    denom = n_s + 1.0 / tau_gamma_sq
-    return (y_s.T @ f_hat_s - mu_lambda @ (m_hat_s.T @ f_hat_s)) / denom
+    return _mu_gamma_from_stats(f_hat_s.T @ y_s, m_hat_s, f_hat_s, mu_lambda, tau_gamma_sq)
+
+
+def _mu_gamma_from_stats(f_t_y, m_hat_s, f_hat_s, mu_lambda, tau_gamma_sq):
+    """`mu_gamma` from the cross-product f_t_y = f_hat_s^T y_s (q_s x p)."""
+    denom = f_hat_s.shape[0] + 1.0 / tau_gamma_sq
+    return (f_t_y.T - mu_lambda @ (m_hat_s.T @ f_hat_s)) / denom
 
 
 def _lifted_features(g, l, v, ng, nl):
@@ -383,7 +386,7 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
 
     mu_gamma_list, rho_gamma, k_gamma_s = [], [], []
     f_t_y, f_t_m = [], []
-    for s, y_s in enumerate(dataset.studies):
+    for s in range(dataset.n_studies):
         f_hat = fe.f_hat_s[s]
         m_hat_s = fe.m_hat_s[s]
         if dims.q_s[s] == 0:
@@ -394,14 +397,15 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
             f_t_m.append(np.zeros((0, dims.k0)))
             continue
         tau_sq = hp.tau_gamma_sq[s]
-        mg = mu_gamma(y_s, m_hat_s, f_hat, mu_l, tau_sq)
+        f_t_y_s = np.sqrt(dataset.n_s[s]) * fe.w_s[s]  # f_hat^T Y_s
+        mg = _mu_gamma_from_stats(f_t_y_s, m_hat_s, f_hat, mu_l, tau_sq)
         mu_gamma_list.append(mg)
         rho_gamma.append(
             inflation_gamma(mg, mu_l, v_j, strategy=inflation_strategy,
                             fixed=inflation_fixed)
         )
         k_gamma_s.append(1.0 / (dataset.n_s[s] + 1.0 / tau_sq))
-        f_t_y.append(f_hat.T @ y_s)
+        f_t_y.append(f_t_y_s)
         f_t_m.append(f_hat.T @ m_hat_s)
 
     return PosteriorSpec(
@@ -423,31 +427,37 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
     )
 
 
-def sample_draw(spec: PosteriorSpec, stream: RngStream) -> PosteriorDraw:
+def sample_draw(spec: PosteriorSpec, stream: RngStream, out=None) -> PosteriorDraw:
     """One joint posterior draw, all of it from one generator on `stream`.
 
     The posterior is a product over outcomes, so each block is drawn for all
     p outcomes at once, in a fixed order: the p variances sigma^2, the p x k0
     shared-loading normals, then each study's p x q_s specific-loading
     normals.  The specific-loading mean is recomputed from the drawn shared
-    loadings.
+    loadings.  The draw is written into `out`, a PosteriorDraw of
+    C-contiguous arrays (a row of a DrawSet, say), or into new arrays when
+    it is None, and returned; its bytes are the same either way.
     """
     p, k0 = spec.mu_lambda.shape
+    if out is None:
+        out = PosteriorDraw(lambda_tilde=np.empty((p, k0)),
+                            gamma_tilde_s=tuple(np.empty((p, q)) for q in spec.q_s),
+                            sigma_tilde_sq=np.empty(p))
     rng = stream.generator()
-    sig = (spec.gamma_n * spec.delta_sq / 2.0) / rng.standard_gamma(spec.gamma_n / 2.0, size=p)
+    sig = np.divide(spec.gamma_n * spec.delta_sq / 2.0,
+                    rng.standard_gamma(spec.gamma_n / 2.0, size=p), out=out.sigma_tilde_sq)
     lam_sd = np.sqrt(sig * spec.rho_lambda**2 * spec.k_scalar)
-    lam = spec.mu_lambda + lam_sd[:, None] * rng.standard_normal((p, k0))
-    gammas = []
-    for s, q in enumerate(spec.q_s):
+    lam = rng.standard_normal((p, k0), out=out.lambda_tilde)
+    lam *= lam_sd[:, None]
+    lam += spec.mu_lambda
+    for s, gam in enumerate(out.gamma_tilde_s):
         k_g = spec.k_gamma_s[s]
         mean = (spec.f_t_y_s[s].T - lam @ spec.f_t_m_s[s].T) * k_g
         sd = np.sqrt(spec.rho_for_gamma(s) ** 2 * sig * k_g)
-        gammas.append(mean + sd[:, None] * rng.standard_normal((p, q)))
-    return PosteriorDraw(
-        lambda_tilde=lam,
-        gamma_tilde_s=tuple(gammas),
-        sigma_tilde_sq=sig,
-    )
+        rng.standard_normal(gam.shape, out=gam)
+        gam *= sd[:, None]
+        gam += mean
+    return out
 
 
 def point_estimates(spec: PosteriorSpec, dims: LatentDims):
@@ -647,7 +657,8 @@ def _require_finite(spec):
 
 
 def _sample_all(spec, config):
-    """All n_mc draws, each written into its row of arrays allocated once."""
+    """All n_mc draws, each written by `sample_draw` into its row of arrays
+    allocated once."""
     n_mc, (p, k0) = config.n_mc, spec.mu_lambda.shape
     draws = DrawSet(
         lambda_tilde=np.empty((n_mc, p, k0)),
@@ -656,12 +667,6 @@ def _sample_all(spec, config):
     )
     root = derive_stream(config.seed, ("draw",))
 
-    def fill(t):
-        d = sample_draw(spec, root.child(t))
-        draws.lambda_tilde[t] = d.lambda_tilde
-        for out, g in zip(draws.gamma_tilde_s, d.gamma_tilde_s):
-            out[t] = g
-        draws.sigma_tilde_sq[t] = d.sigma_tilde_sq
-
-    parallel_map(fill, n_mc, config.threads)
+    parallel_map(lambda t: sample_draw(spec, root.child(t), out=draws[t]), n_mc,
+                 config.threads)
     return draws

@@ -8,11 +8,17 @@ directions projected out; (4) shared factors from the stacked matrices with
 the study-specific factors regressed out.  Projectors are always represented
 by their orthonormal bases, never as p x p matrices.  Every SVD goes
 through its input's short-side Gram matrix (`numerics.truncated_svd`).  The
-per-study and basis SVDs form it; the shared-factor SVD of step (4) forms
-neither the stacked n x p matrix nor its Gram matrix: it works on a
-`numerics.ProjectedStack`, through products computed one study at a time.
+per-study and basis SVDs form it.  The specific-factor SVD of step (3)
+forms neither Y_s with the shared directions projected out nor its Gram
+matrix: it works on a `numerics.ProjectedStudy`, whose Gram matrix is a
+rank-k0 downdate of the study's own.  The shared-factor SVD of step (4)
+forms neither the stacked n x p matrix nor its Gram matrix: it works on a
+`numerics.ProjectedStack`, through products that read each study once.
 Inside `run_blast`, `study_right_basis` slices the Gram eigenpairs that rank
-selection computed for the same study matrix instead of forming it again.
+selection computed for the same study matrix, and step (3) downdates the
+Gram matrix that rank selection formed, instead of forming either again.
+Step (4) keeps each study's U_s^T Y_s, which is all the posterior reads of
+the specific factors against the data.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateSignalError, DimensionError, ParameterError
-from .numerics import ProjectedStack, _check_matrix, parallel_map, truncated_svd
+from .numerics import ProjectedStack, ProjectedStudy, _check_matrix, parallel_map, truncated_svd
 
 _RANK_TOL = 1e-12
 # the names `projection_weights` decides
@@ -125,7 +131,9 @@ class FactorEstimates:
     m_hat^T m_hat = n I_k0 exactly; f_hat_s = sqrt(n_s) u_perp_s likewise.
     m_hat_s^T f_hat_s = 0 by construction.  The n x p y_c itself is never
     formed, unless its SVD declines the product route (see
-    `numerics.truncated_svd`), and is never kept.
+    `numerics.truncated_svd`), and is never kept.  w_s holds each study's
+    u_perp_s^T Y_s, so f_hat_s^T Y_s = sqrt(n_s) w_s without another pass
+    over the study.
     """
 
     m_hat: np.ndarray                # n x k0, stacked shared factors
@@ -137,6 +145,7 @@ class FactorEstimates:
     v_c: np.ndarray                  # p x k0
     u_perp_s: tuple                  # per-study n_s x q_s
     p_tilde_spectrum: np.ndarray     # singular values of the averaged projector
+    w_s: tuple = field(repr=False)   # per-study q_s x p, u_perp_s^T Y_s
     n_s: tuple = field(default=())
 
     @property
@@ -192,9 +201,11 @@ def shared_basis(bases, k0, weights=None):
 def specific_factors(y_s, v_bar, q_s):
     """Specific factors of one study after removing the shared directions.
 
-    Computes Y_s with its shared-span component projected out and returns
-    (f_hat_s, u_perp_s) where f_hat_s = sqrt(n_s) u_perp_s holds the leading
-    q_s left singular vectors.  q_s = 0 yields empty (n_s x 0) factors.
+    Decomposes Y_s with its shared-span component projected out, as a
+    `ProjectedStudy` (inside a fit, a downdate of the Gram matrix that rank
+    selection formed), and returns (f_hat_s, u_perp_s) where
+    f_hat_s = sqrt(n_s) u_perp_s holds the leading q_s left singular
+    vectors.  q_s = 0 yields empty (n_s x 0) factors.
     """
     y_s = _check_matrix(y_s, "y_s")
     v_bar = _check_matrix(v_bar, "v_bar")
@@ -204,8 +215,7 @@ def specific_factors(y_s, v_bar, q_s):
     if q_s == 0:
         empty = np.zeros((n_s, 0))
         return empty, empty
-    y_perp = y_s - (y_s @ v_bar) @ v_bar.T
-    fac = truncated_svd(y_perp, q_s)
+    fac = truncated_svd(ProjectedStudy(y_s, v_bar), q_s)
     # degeneracy is judged against the scale of the input, not the residual
     scale = max(float(np.linalg.norm(y_s)), _RANK_TOL)
     if fac.singvals[-1] < _RANK_TOL * scale:
@@ -224,8 +234,8 @@ def shared_factors(dataset: MultiStudyDataset, u_perp_s, k0):
     `ProjectedStack`, and m_hat = sqrt(n) u_c, with u_c its leading-k0 left
     singular vectors.  The posterior needs only two statistics of y_c, and
     both are taken from the stack.  Returns (m_hat, m_hat_s, yc_col_sq,
-    yc_t_m, d_c, v_c) with yc_col_sq the column sums of squares of y_c and
-    yc_t_m = y_c^T m_hat.
+    yc_t_m, d_c, v_c, w_s) with yc_col_sq the column sums of squares of y_c,
+    yc_t_m = y_c^T m_hat and w_s the stack's u_perp_s^T Y_s per study.
     """
     n = dataset.n_total
     y_c = ProjectedStack(dataset.studies, u_perp_s)
@@ -234,7 +244,7 @@ def shared_factors(dataset: MultiStudyDataset, u_perp_s, k0):
         raise DegenerateSignalError(f"shared-signal matrix has numerical rank < k0={k0}")
     m_hat = np.sqrt(n) * fac.left
     m_hat_s = _split_rows(m_hat, dataset.n_s)
-    return m_hat, m_hat_s, y_c.col_sq(), y_c.tdot(m_hat), fac.singvals, fac.right
+    return m_hat, m_hat_s, y_c.col_sq(), y_c.tdot(m_hat), fac.singvals, fac.right, y_c.coefs
 
 
 def _split_rows(stacked, n_s):
@@ -280,7 +290,8 @@ def estimate_factors(
     )
     f_hat_s = tuple(f for f, _ in specific)
     u_perp_s = tuple(u for _, u in specific)
-    m_hat, m_hat_s, yc_col_sq, yc_t_m, d_c, v_c = shared_factors(dataset, u_perp_s, dims.k0)
+    m_hat, m_hat_s, yc_col_sq, yc_t_m, d_c, v_c, w_s = shared_factors(dataset, u_perp_s,
+                                                                      dims.k0)
     return FactorEstimates(
         m_hat=m_hat,
         m_hat_s=m_hat_s,
@@ -291,5 +302,6 @@ def estimate_factors(
         v_c=v_c,
         u_perp_s=u_perp_s,
         p_tilde_spectrum=spectrum,
+        w_s=w_s,
         n_s=dataset.n_s,
     )

@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import sys
 import weakref
@@ -47,7 +48,7 @@ def failing_eigh(g):
 def dense_truncated_svd(monkeypatch, a, r):
     """truncated_svd forced onto the dense LAPACK route."""
     with monkeypatch.context() as m:
-        m.setattr(numerics, "_svd_gram", lambda a, r: None)
+        m.setattr(numerics, "_svd_gram", lambda *args: None)
         return truncated_svd(a, r)
 
 
@@ -206,7 +207,7 @@ class TestTruncatedSvd:
 
     @pytest.mark.parametrize("failure", ["raise", "nan"])
     def test_gram_route_failure_falls_back_to_dense(self, rng, monkeypatch, caplog, failure):
-        a = rng.standard_normal((60, 40))
+        a = rng.standard_normal((200, 120))
         expected = dense_truncated_svd(monkeypatch, a, 4)
         calls = []
 
@@ -222,9 +223,9 @@ class TestTruncatedSvd:
             fac = truncated_svd(a, 4)
         # the Gram route was taken: both of its eigensolvers ran and failed,
         # the subspace iteration on its 13 x 13 Ritz matrix, then the full
-        # eigendecomposition of the 40 x 40 Gram matrix
-        assert calls == [(13, 13), (40, 40)]
-        assert "event=gram_eig k=40 r=4 route=full reason=solver" in caplog.text
+        # eigendecomposition of the 120 x 120 Gram matrix
+        assert calls == [(13, 13), (120, 120)]
+        assert "event=gram_eig k=120 r=4 route=full reason=solver" in caplog.text
         assert_same_factors(fac, expected)
 
     def test_subspace_iteration_matches_full_eigh(self, rng, monkeypatch, caplog):
@@ -258,15 +259,23 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(big.right, fac.right, rtol=0, atol=1e-10)
 
     def test_flat_spectrum_takes_full_eigh(self, rng, monkeypatch, caplog):
-        # pure noise has no gap after rank 30, so subspace iteration would
+        # pure noise has no gap after rank 10, so subspace iteration would
         # need more products than a full eigendecomposition costs
+        self.assert_full_eigh(rng, monkeypatch, caplog, 10, "slow_gap")
+
+    def test_k_max_request_takes_full_eigh_without_a_ritz_step(self, rng, monkeypatch, caplog):
+        # at rank 30 (rank selection's k_max) the block of 65 columns spans
+        # more than an eighth of the 500 x 500 Gram matrix
+        self.assert_full_eigh(rng, monkeypatch, caplog, 30, "wide_block")
+
+    def assert_full_eigh(self, rng, monkeypatch, caplog, r, reason):
         a = rng.standard_normal((500, 2000))
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
-            fac = truncated_svd(a, 30)
-        assert "event=gram_eig k=500 r=30 route=full reason=slow_gap" in caplog.text
+            fac = truncated_svd(a, r)
+        assert f"event=gram_eig k=500 r={r} route=full reason={reason}" in caplog.text
         with monkeypatch.context() as m:
             m.setattr(numerics, "_subspace_eigh", lambda g, r: (None, "forced"))
-            assert_same_factors(fac, truncated_svd(a, 30))
+            assert_same_factors(fac, truncated_svd(a, r))
 
     def test_byte_identical_across_thread_counts(self, rng, caplog):
         # gapped inputs, so every request runs the seeded subspace iteration
@@ -334,14 +343,40 @@ class TestFactorizationScope:
                                           loading_sd=0.5, seed=31))
         with numerics._factorization_scope():
             dims = ranks.select_dims(dataset, ranks.RankSelectionConfig())
-            spectral.estimate_factors(dataset, dims)
             entries = list(numerics._FIT_EIGENPAIRS.get().values())
-        assert entries
-        for ref, w, v in entries:
+        # one per study, and one for the bases of the shared spectrum
+        assert len(entries) == 4
+        for ref, w, v, gram in entries:
             assert isinstance(ref, weakref.ref)
             # copies owning their data, not views into a k x k eigh output
             assert w.base is None and v.base is None
             assert w.ndim == 1 and v.shape[1] == w.size <= v.shape[0]
+            # the lower triangle of the short-side Gram matrix, not the input array
+            k = v.shape[0]
+            assert gram.shape == (k * (k + 1) // 2,) and gram.base is None
+
+    def test_memo_gives_up_each_gram_at_its_downdate(self):
+        dataset, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
+                                          loading_sd=0.5, seed=31))
+
+        def kept_studies():
+            memo = numerics._FIT_EIGENPAIRS.get()
+            return [s for s, y in enumerate(dataset.studies)
+                    if id(y) in memo and memo[id(y)][0]() is y]
+
+        with numerics._factorization_scope():
+            dims = ranks.select_dims(dataset, ranks.RankSelectionConfig())
+            assert kept_studies() == [0, 1, 2]
+            v_bar = random_orthonormal(np.random.default_rng(0), dataset.p, dims.k0)
+            spectral.specific_factors(dataset.studies[1], v_bar, dims.q_s[1])
+            assert kept_studies() == [0, 2]
+            spectral.estimate_factors(dataset, dims)
+            assert kept_studies() == []
+            memo = numerics._FIT_EIGENPAIRS.get()
+            # only the shared-basis requests keep an entry, each a small Gram matrix
+            k = sum(dims.k_s)
+            assert all(entry[3].size <= k * (k + 1) // 2 for entry in memo.values())
+        assert numerics._FIT_EIGENPAIRS.get() is None
 
     def test_worker_threads_share_the_scope(self, rng, caplog):
         # more workers than cores, switching often: a memo entry lost by a
@@ -378,7 +413,8 @@ def desk_requests(monkeypatch, caplog):
 
     def recording_svd(a, r):
         fac = truncated_svd(a, r)
-        dense = a.dense() if isinstance(a, numerics.ProjectedStack) else np.array(a)
+        # operators (ProjectedStack, ProjectedStudy) are formed for the check
+        dense = a.dense() if hasattr(a, "dense") else np.array(a)
         requests.append((dense, r, fac))
         return fac
 
@@ -394,15 +430,16 @@ class TestPipelineRequests:
         requests, lines = desk_requests
         assert len(requests) == 15 and len(lines) == 15
         # the route each request shape takes at desk scale: rank selection
-        # at k_max = 30 declines at the first Ritz step, the bases at rank 9
-        # reuse its eigenpairs, the full-rank shared bases are too narrow
-        # for a block, the specific (r=4) factors converge by iteration, and
-        # the shared (r=5) factors by iteration on the unformed stack
+        # at k_max = 30 is too wide for a block, the bases at rank 9 reuse
+        # its eigenpairs, the full-rank shared bases are too wide as well,
+        # the specific (r=4) factors converge by iteration on the downdated
+        # Gram matrix, and the shared (r=5) factors by iteration on the
+        # unformed stack
         expected = {
-            (200, 30): "route=full reason=slow_gap",
+            (200, 30): "route=full reason=wide_block",
             (200, 9): "route=reuse",
             (27, 27): "route=full reason=wide_block",
-            (200, 4): "route=subspace iters=",
+            (200, 4): "route=downdate subspace iters=",
             (200, 5): "route=stack iters=",
         }
         counts = {}
@@ -421,6 +458,36 @@ class TestPipelineRequests:
             np.testing.assert_allclose(fac.singvals, dense.singvals, rtol=1e-12, atol=0)
             assert sine_largest_angle(fac.left, dense.left) <= 1e-10
             assert sine_largest_angle(fac.right, dense.right) <= 1e-10
+
+    def test_large_p_route_table(self, monkeypatch, caplog):
+        # one route per request shape of a large-p point fit (S=5, n_s=500,
+        # p=2000), as the benchmark's large_p_point runs it
+        dataset, _ = generate(SimScenario(n_studies=5, n_per_study=500, p=2000, k0=5,
+                                          q_s=4, loading_sd=0.5, seed=701))
+        shapes = []
+
+        def recording_svd(a, r):
+            shapes.append((min(a.shape), r))
+            return truncated_svd(a, r)
+
+        monkeypatch.setattr(ranks, "truncated_svd", recording_svd)
+        monkeypatch.setattr(spectral, "truncated_svd", recording_svd)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            result = posterior.run_blast(dataset, posterior.BlastConfig(n_mc=0, seed=701))
+        assert result.dims == spectral.LatentDims(k0=5, k_s=(9,) * 5, q_s=(4,) * 5)
+        expected = {
+            (500, 30): "route=full reason=wide_block",
+            (500, 9): "route=reuse",
+            (45, 45): "route=full reason=wide_block",
+            (500, 4): "route=downdate subspace iters=",
+            (2000, 5): "route=stack iters=",
+        }
+        lines = gram_eig_lines(caplog)
+        assert len(lines) == len(shapes) == 23
+        for (k, r), line in zip(shapes, lines):
+            assert line.startswith(f"event=gram_eig k={k} r={r} {expected[k, r]}")
+        counts = {key: shapes.count(key) for key in expected}
+        assert counts == {(500, 30): 5, (500, 9): 10, (45, 45): 2, (500, 4): 5, (2000, 5): 1}
 
     def test_large_p_study_matches_dense_lapack(self, monkeypatch):
         # a study matrix at the large-p shape (n_s=500, p=2000), at the
@@ -460,17 +527,20 @@ class TestProjectedStack:
         assert sine_largest_angle(fac.left, dense.left) <= 1e-10
         assert sine_largest_angle(fac.right, dense.right) <= 1e-10
 
-    @pytest.mark.parametrize("r, reason", [(20, "slow_gap"), (60, "wide_block"), (8, "ratio")])
+    @pytest.mark.parametrize("r, reason", [(8, "slow_gap"), (60, "wide_block"), (8, "ratio")])
     def test_declined_request_takes_the_array_route(self, rng, caplog, r, reason):
-        # r=8 asks for three components of pure roundoff: the stack has rank 5
-        stack = projected_stack(rng, 3, 40, 120, q_s=2, seed=3)
+        # 240 x 200 stacks.  Pure noise has no gap after rank 8; a block for
+        # r=60 spans more than an eighth of the Gram matrix; and with every
+        # block of rank 5, r=8 asks for three components of pure roundoff
+        blocks = [rng.standard_normal((80, 200)) for _ in range(3)]
         if reason == "ratio":
-            v = random_orthonormal(rng, 120, 5)
-            stack = numerics.ProjectedStack([(y @ v) @ v.T for y in stack.blocks], stack.bases)
+            v = random_orthonormal(rng, 200, 5)
+            blocks = [(y @ v) @ v.T for y in blocks]
+        stack = numerics.ProjectedStack(blocks, [random_orthonormal(rng, 80, 2)] * 3)
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
             fac = truncated_svd(stack, r)
         lines = gram_eig_lines(caplog)
-        assert lines[0] == f"event=gram_eig k=120 r={r} route=dense reason={reason}"
+        assert lines[0] == f"event=gram_eig k=200 r={r} route=dense reason={reason}"
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
             assert_same_factors(fac, truncated_svd(stack.dense(), r))
@@ -486,6 +556,92 @@ class TestProjectedStack:
         assert gram.shape == (30, 30)
         np.testing.assert_allclose(gram @ x, dense.T @ (dense @ x), rtol=0, atol=1e-10)
         np.testing.assert_allclose(stack.col_sq(), np.sum(dense**2, axis=0), rtol=1e-12)
+
+
+    @pytest.mark.parametrize("shape", [(3, 300, 200), (3, 500, 1000), (5, 500, 2000)],
+                             ids=["p=200", "p=1000", "p=2000"])
+    def test_fused_product_matches_dot_then_tdot(self, rng, shape):
+        stack = projected_stack(rng, *shape, q_s=4, seed=26)
+        x = rng.standard_normal((shape[2], 15))
+        want = stack.tdot(stack.dot(x))
+        got = numerics._StackGram(stack) @ x
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_fused_product_byte_identical_across_threads(self, rng):
+        # products taken on worker threads, and whole fits at threads 1 and 4
+        stack = projected_stack(rng, 3, 300, 200, q_s=4, seed=27)
+        xs = [rng.standard_normal((200, 15)) for _ in range(6)]
+        serial, threaded = (parallel_map(lambda i: stack.gram_dot(xs[i]), 6, t) for t in (1, 4))
+        assert [a.tobytes() for a in serial] == [b.tobytes() for b in threaded]
+        dataset, _ = generate(SimScenario(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4,
+                                          loading_sd=0.5, seed=27))
+        fits = [posterior.run_blast(dataset, posterior.BlastConfig(n_mc=0, seed=1, threads=t))
+                for t in (1, 4)]
+        assert fits[0].factors.m_hat.tobytes() == fits[1].factors.m_hat.tobytes()
+        assert fits[0].factors.v_c.tobytes() == fits[1].factors.v_c.tobytes()
+
+    def test_n_side_never_takes_the_fused_product(self, rng, monkeypatch, caplog):
+        stack = projected_stack(rng, 2, 150, 600, q_s=4, seed=28)
+
+        def fused(self, x):
+            raise AssertionError("fused product on the n side")
+
+        monkeypatch.setattr(numerics.ProjectedStack, "gram_dot", fused)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            truncated_svd(stack, 5)
+        assert gram_eig_lines(caplog)[0].startswith("event=gram_eig k=300 r=5 route=stack iters=")
+
+
+def downdate_case(shape, seed, shared_scale=1.0):
+    """A study and an orthonormal basis of its generator's shared loadings;
+    `shared_scale` multiplies the shared part of the study."""
+    n_s, p = shape
+    dataset, truth = generate(SimScenario(n_studies=1, n_per_study=n_s, p=p, k0=5, q_s=4,
+                                          loading_sd=0.5, seed=seed))
+    v_bar = np.linalg.qr(truth.lambda0)[0]
+    y = dataset.studies[0]
+    y = y + (shared_scale - 1.0) * (y @ v_bar) @ v_bar.T
+    return y, v_bar
+
+
+class TestProjectedStudy:
+    @pytest.mark.parametrize("shape", [(300, 900), (300, 200)], ids=["n<p", "n>p"])
+    def test_downdate_matches_dense_lapack(self, monkeypatch, caplog, shape):
+        y, v_bar = downdate_case(shape, 41)
+        study = numerics.ProjectedStudy(y, v_bar)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            with numerics._factorization_scope():
+                truncated_svd(y, 30)
+                fac = truncated_svd(study, 4)
+        assert gram_eig_lines(caplog)[1].startswith(
+            f"event=gram_eig k={min(shape)} r=4 route=downdate subspace iters=")
+        dense = dense_truncated_svd(monkeypatch, study.dense(), 4)
+        np.testing.assert_allclose(fac.singvals, dense.singvals, rtol=1e-12, atol=0)
+        assert sine_largest_angle(fac.left, dense.left) <= 1e-10
+        assert sine_largest_angle(fac.right, dense.right) <= 1e-10
+
+    @pytest.mark.parametrize("scoped", [True, False], ids=["guard", "outside_a_fit"])
+    def test_declined_request_forms_the_study(self, monkeypatch, caplog, scoped):
+        # a shared part 1e3 times the data's dwarfs the residual: the
+        # downdate would cancel more than roundoff, so the guard declines
+        y, v_bar = downdate_case((300, 900), 42, shared_scale=1e3 if scoped else 1.0)
+        study = numerics.ProjectedStudy(y, v_bar)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            with numerics._factorization_scope() if scoped else contextlib.nullcontext():
+                if scoped:
+                    truncated_svd(y, 30)
+                    caplog.clear()
+                fac = truncated_svd(study, 4)
+            lines = gram_eig_lines(caplog)
+            reason = "ratio" if scoped else "no_gram"
+            assert lines[0] == f"event=gram_eig k=300 r=4 route=formed reason={reason}"
+            caplog.clear()
+            assert_same_factors(fac, truncated_svd(study.dense(), 4))
+        assert lines[1:] == gram_eig_lines(caplog)
+        dense = dense_truncated_svd(monkeypatch, study.dense(), 4)
+        np.testing.assert_allclose(fac.singvals, dense.singvals, rtol=1e-12, atol=0)
+        assert sine_largest_angle(fac.left, dense.left) <= 1e-10
+        assert sine_largest_angle(fac.right, dense.right) <= 1e-10
 
 
 class TestProcrustes:

@@ -594,6 +594,27 @@ class TestSampleDraw:
                 assert np.array_equal(g, w)
 
 
+    def test_sample_draw_writes_into_given_rows(self):
+        # the draw lands in the caller's arrays, and is the one returned
+        ds, dims, fe, hp = small_fit(seed=6)
+        spec = run_blast(ds, BlastConfig(dims=dims, n_mc=0, seed=55)).spec
+        p = ds.p
+        rows = DrawSet(lambda_tilde=np.zeros((2, p, dims.k0)),
+                       gamma_tilde_s=tuple(np.zeros((2, p, q)) for q in dims.q_s),
+                       sigma_tilde_sq=np.zeros((2, p)))
+        stream = derive_stream(55, ("draw", 1))
+        got = sample_draw(spec, stream, out=rows[1])
+        want = sample_draw(spec, stream)
+        assert got.lambda_tilde.base is rows.lambda_tilde
+        assert got.sigma_tilde_sq.base is rows.sigma_tilde_sq
+        for g, w, arr in zip(got.gamma_tilde_s, want.gamma_tilde_s, rows.gamma_tilde_s,
+                             strict=True):
+            assert g.base is arr and g.tobytes() == w.tobytes()
+        assert rows.lambda_tilde[1].tobytes() == want.lambda_tilde.tobytes()
+        assert rows.sigma_tilde_sq[1].tobytes() == want.sigma_tilde_sq.tobytes()
+        assert not rows.lambda_tilde[0].any() and not rows.sigma_tilde_sq[0].any()
+
+
 class TestDrawSet:
     def make(self, t=4, p=3, k0=2, q_s=(0, 2)):
         g = np.random.default_rng(0)

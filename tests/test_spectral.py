@@ -177,6 +177,20 @@ class TestSharedFactors:
                       <= tol * np.sum(raw**2, axis=0))
         assert np.all(np.abs(fe.yc_t_m - y_c.T @ fe.m_hat) <= tol * (raw.T @ np.abs(fe.m_hat)))
 
+    def test_w_s_is_u_perp_s_t_y_s(self):
+        # what the posterior reads in place of f_hat_s^T Y_s: one study with
+        # q_s = 0 (an empty block) and two with specific factors
+        ds, _ = generate(SimScenario(n_studies=3, n_per_study=(40, 60, 50), p=30, k0=2,
+                                     q_s=(0, 2, 3), seed=12))
+        fe = estimate_factors(ds, LatentDims(k0=2, k_s=(2, 4, 5), q_s=(0, 2, 3)))
+        for s, y in enumerate(ds.studies):
+            w = fe.w_s[s]
+            assert w.shape == (fe.u_perp_s[s].shape[1], ds.p)
+            np.testing.assert_allclose(w, fe.u_perp_s[s].T @ y, rtol=0,
+                                       atol=1e-13 * np.abs(y).max())
+            np.testing.assert_allclose(np.sqrt(ds.n_s[s]) * w, fe.f_hat_s[s].T @ y, rtol=0,
+                                       atol=1e-12 * np.abs(y).max())
+
     def test_no_n_by_p_array_is_kept(self):
         ds, _ = generate(desk_scenario(101))
         fe = estimate_factors(ds, LatentDims(k0=5, k_s=(9, 9, 9), q_s=(4, 4, 4)))
