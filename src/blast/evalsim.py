@@ -24,14 +24,13 @@ from .errors import (
     ParameterError,
     UndefinedMetricError,
 )
-from .numerics import RngStream, derive_stream, parallel_map, procrustes_rotation
+from .numerics import _BLOCK_BYTES, RngStream, derive_stream, parallel_map, procrustes_rotation
 from .posterior import CovarianceModel, DrawSet
 from .spectral import MultiStudyDataset
 
 logger = logging.getLogger(__name__)
 
 _RANK_REGEN_ATTEMPTS = 10
-_PAIR_BLOCK = 1024  # pairs per products block of coverage: 4 MB at T = 500
 
 
 @dataclass(frozen=True)
@@ -227,10 +226,12 @@ def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
     gamma_sj . gamma_sj') is checked against the true product.  Only that
     upper triangle is computed, for a subset of m = `submatrix` outcomes and
     T draws, and never all at once: it is made and decided in blocks of at
-    most `_PAIR_BLOCK` pairs in one reused buffer, so memory grows as
-    m x k x T (the loadings) plus a fixed 8 x 1024 x T bytes, not as m^2 x T.
-    The truth rides along as draw T, zero-padded with the draws to the wider
-    rank, so its products come from the same kernel and summation order.
+    most `_BLOCK_BYTES` (512 KiB) in one reused buffer, so memory grows as
+    the m x k x (T+1) gather of the loadings plus about 0.7 MB whatever m
+    and T (2.7 MB at m = 100, T = 500, k = 5; 6.8 MB at m = 300; 8.7 MB at
+    m = 100, T = 2000), not as m^2 x T.  The truth rides along as draw T,
+    zero-padded with the draws to the wider rank, so its products come from
+    the same kernel and summation order.
 
     The interval is np.quantile's default (linear) one, but most pairs are
     decided without it, by counting the draws below and at or below the
@@ -239,7 +240,9 @@ def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
     remaining pairs (ties, degenerate rows, a product between the two order
     statistics of an edge), or a whole block with a non-finite or huge
     (>= 2^1022) draw product, go through np.quantile, so the result equals
-    the all-quantile computation exactly.  Returns
+    the all-quantile computation exactly.  Blocks are scanned for such
+    products only when the gathered loadings themselves could make one.
+    Returns
     (coverage_shared, coverage_specific) with one specific entry per study
     (nan when q_s = 0).  Raises DimensionError when the draws and the truth
     disagree in p or in the number of studies.
@@ -276,30 +279,37 @@ def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
     return shared, tuple(specific)
 
 
-def _triangle_blocks(draw_rows, truth_rows, idx=None):
-    """Yield the upper-triangle pair products rows[i] . rows[j], i <= j, in
-    the pair order of np.triu_indices(m), as (n, T+1) blocks of at most
-    `_PAIR_BLOCK` pairs: columns 0..T-1 are the T draws (draw_rows is
-    (T, p, k)) and column T is the truth (truth_rows is (p, k')), both
-    restricted to the m outcomes `idx` (all p when None).
+def _lifted_rows(draw_rows, truth_rows, idx=None):
+    """The (m, K, T+1) array whose column t holds the rows of draw t
+    (draw_rows is (T, p, k)) and whose column T holds the truth (truth_rows
+    is (p, k')), both restricted to the m outcomes `idx` (all p when None)
+    and zero-padded to the wider rank K.
 
-    The truth rides along as draw T, and both are zero-padded to the wider
-    rank, so its products come from the same kernel and summation order as
-    the draws': a draw equal to the truth has exactly the true products.
-    Each block is a view of one reused buffer, valid until the
-    next block is requested.
+    The truth rides along as draw T, so its products come from the same
+    kernel and summation order as the draws': a draw equal to the truth has
+    exactly the true products.
     """
     t, p, k_draw = draw_rows.shape
     k_truth = truth_rows.shape[1]
     if idx is None:
         idx = np.arange(p)
-    m = idx.size
-    at = np.zeros((m, max(k_draw, k_truth), t + 1))
+    at = np.zeros((idx.size, max(k_draw, k_truth), t + 1))
     for row, j in zip(at, idx):  # outcome by outcome: no (T, m, k) gather
         row[:k_draw, :t] = draw_rows[:, j].T
     at[:, :k_truth, t] = truth_rows[idx]
-    size = min(_PAIR_BLOCK, m * (m + 1) // 2)
-    buf = np.empty((size, t + 1))
+    return at
+
+
+def _triangle_blocks(at):
+    """Yield the upper-triangle pair products at[i] . at[j], i <= j, summed
+    over the rank axis, in the pair order of np.triu_indices(m), as (n, T+1)
+    blocks of at most `_BLOCK_BYTES` (130 pairs at T = 500, 32 at T = 2000,
+    at least one pair).  Each block is a view of one reused buffer, local
+    to the call and valid until the next block is requested.
+    """
+    m, _, width = at.shape
+    size = min(max(1, _BLOCK_BYTES // (8 * width)), m * (m + 1) // 2)
+    buf = np.empty((size, width))
     n = 0
     for i in range(m):
         j = i
@@ -327,17 +337,27 @@ def _pair_coverage(draw_rows, truth_rows, level, idx=None):
     quantiles = np.array([alpha, 1.0 - alpha])
     # np.quantile's linear method interpolates between the order statistics
     # x(i), x(i+1) at the virtual index i + g = (T-1) q, and its lerp stays
-    # inside [x(i), x(i+1)] unless x(i+1) - x(i) overflows (ruled out below).
-    # A target strictly clear of both order statistics of an edge therefore
-    # lies on a known side of it, which counting the draws below it shows;
-    # only the pairs left over need the quantiles themselves.
+    # inside [x(i), x(i+1)] unless x(i+1) - x(i) overflows, which needs a
+    # product of magnitude 2^1022 or more.  A target strictly clear of both
+    # order statistics of an edge therefore lies on a known side of it,
+    # which counting the draws below it shows; only the pairs left over
+    # need the quantiles themselves.
     a, b = np.floor((n_draws - 1) * quantiles).astype(np.intp)
-    pairs = covered_pairs = quantile_pairs = 0
+    at = _lifted_rows(draw_rows, truth_rows, idx)
+    # Every product is a sum of K terms of magnitude at most max|entry|^2, so
+    # K max|entry|^2 < 2^1021 keeps all of them below 2^1022 (rounding adds
+    # far less than the factor 2) and no block needs its own scan.  A nan or
+    # inf entry fails the test (np.maximum propagates nan); then each block
+    # is checked.
+    bound = np.maximum(-at.min(initial=0.0), at.max(initial=0.0))
+    guard = "inputs" if bound < np.sqrt(2.0**1021 / max(at.shape[1], 1)) else "blocks"
+    pairs = covered_pairs = quantile_pairs = block_pairs = 0
     routes = []
-    for block in _triangle_blocks(draw_rows, truth_rows, idx):
+    for block in _triangle_blocks(at):
         prods, target = block[:, :n_draws], block[:, n_draws]
+        block_pairs = max(block_pairs, block.shape[0])
         # false for a nan or inf product too (np.max propagates nan)
-        if np.abs([prods.min(), prods.max()]).max() < 2.0**1022:
+        if guard == "inputs" or np.abs([prods.min(), prods.max()]).max() < 2.0**1022:
             routes.append("counts")
             n_lt = np.count_nonzero(prods < target[:, None], axis=-1)
             n_le = np.count_nonzero(prods <= target[:, None], axis=-1)
@@ -357,8 +377,9 @@ def _pair_coverage(draw_rows, truth_rows, level, idx=None):
         covered_pairs += int(np.count_nonzero(covered))
         quantile_pairs += edge.size
     route = routes[0] if len(set(routes)) == 1 else "mixed"
-    logger.debug("event=coverage pairs=%d blocks=%d quantile_pairs=%d route=%s seconds=%.6f",
-                 pairs, len(routes), quantile_pairs, route, time.perf_counter() - t0)
+    logger.debug("event=coverage pairs=%d blocks=%d block_pairs=%d guard=%s quantile_pairs=%d "
+                 "route=%s seconds=%.6f", pairs, len(routes), block_pairs, guard,
+                 quantile_pairs, route, time.perf_counter() - t0)
     return covered_pairs / pairs
 
 

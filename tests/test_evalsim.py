@@ -313,7 +313,12 @@ def triangle_products(rows):
     the truth column (here rows[0]) dropped."""
     t = rows.shape[0]
     return np.concatenate([block[:, :t] for block in
-                           evalsim._triangle_blocks(rows, rows[0])])
+                           evalsim._triangle_blocks(evalsim._lifted_rows(rows, rows[0]))])
+
+
+def pair_budget(block_pairs, t):
+    """The `_BLOCK_BYTES` that gives blocks of `block_pairs` pairs at T = t."""
+    return block_pairs * 8 * (t + 1)
 
 
 class TestTriangleBlocks:
@@ -332,17 +337,29 @@ class TestTriangleBlocks:
         ref = np.zeros((i.size, t_plus_1))
         for c in range(k):
             ref += lifted[i, c] * lifted[j, c]
-        for block_pairs in (evalsim._PAIR_BLOCK, 7, 1):  # 7 and 1 split rows
-            monkeypatch.setattr(evalsim, "_PAIR_BLOCK", block_pairs)
-            blocks = [b.copy() for b in evalsim._triangle_blocks(draw_rows, truth_rows)]
+        at = evalsim._lifted_rows(draw_rows, truth_rows)
+        default = evalsim._BLOCK_BYTES // (8 * t_plus_1)
+        for block_pairs in (default, 7, 1):  # 7 and 1 split rows
+            monkeypatch.setattr(evalsim, "_BLOCK_BYTES", pair_budget(block_pairs, t_plus_1 - 1))
+            blocks = [b.copy() for b in evalsim._triangle_blocks(at)]
             assert all(len(b) <= block_pairs and b.flags.c_contiguous for b in blocks)
             assert np.array_equal(np.concatenate(blocks), ref)
 
+    @pytest.mark.parametrize("t,pairs", [(500, 130), (2000, 32), (70_000, 1)])
+    def test_block_is_sized_by_bytes(self, t, pairs):
+        m = 20 if pairs > 1 else 3
+        sizes = [len(b) for b in evalsim._triangle_blocks(np.zeros((m, 1, t + 1)))]
+        assert max(sizes) == pairs and sum(sizes) == m * (m + 1) // 2
+
     def test_memory_grows_linearly_in_m(self):
-        # the full products array alone is 20 MB at m = 100 and 181 MB at m = 300
+        # The full products array alone is 20 MB at m = 100 and 181 MB at
+        # m = 300.  Past the m x K x (T+1) gather of the rows, the working
+        # set is about 0.7 MB whatever m and T (after a first call's one-time
+        # allocations).
         g = np.random.default_rng(8)
-        for m, bound_mb in ((100, 12), (300, 25)):
-            draw_rows = g.standard_normal((500, m, 5))
+        evalsim._pair_coverage(g.standard_normal((50, 3, 2)), g.standard_normal((3, 2)), 0.95)
+        for m, t in ((100, 500), (300, 500), (100, 2000)):
+            draw_rows = g.standard_normal((t, m, 5))
             truth_rows = g.standard_normal((m, 5))
             tracemalloc.start()
             try:
@@ -350,7 +367,8 @@ class TestTriangleBlocks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < bound_mb * 1e6, (m, peak / 1e6)
+            gather = m * 5 * (t + 1) * 8
+            assert peak < gather + 1.5e6, (m, t, peak / 1e6)
 
     def test_coverage_eval_gathers_no_draw_copy(self):
         # no (T, m, k) copy of the subset's draws: coverage_eval peaks where
@@ -438,8 +456,41 @@ class TestRankCountCoverage:
             want = einsum_pair_coverage(draw_rows, truth_rows, 0.5)
             assert evalsim._pair_coverage(draw_rows, truth_rows, 0.5) == want
 
-    @pytest.mark.parametrize("route", ["counts", "quantile"])
-    def test_coverage_event_is_logged(self, route, caplog):
+    @pytest.mark.parametrize("where,value,guard,route", [
+        ("draws", np.nextafter(2.0**510, 0.0), "inputs", "counts"),
+        ("draws", -np.nextafter(2.0**510, 0.0), "inputs", "counts"),
+        ("truth", np.nextafter(2.0**510, 0.0), "inputs", "counts"),
+        ("draws", 2.0**510, "blocks", "counts"),
+        ("draws", -np.nextafter(2.0**510, np.inf), "blocks", "counts"),
+        ("truth", np.nextafter(2.0**510, np.inf), "blocks", "counts"),
+        ("draws", np.inf, "blocks", "quantile"),
+        ("draws", -np.inf, "blocks", "quantile"),
+        ("draws", np.nan, "blocks", "quantile"),
+        ("truth", np.nan, "blocks", "counts"),
+    ])
+    def test_input_bound_edges(self, where, value, guard, route, caplog):
+        # At rank 2 the input bound is max|entry| < sqrt(2^1021 / 2) = 2^510;
+        # the other entries stay below 2^509.  Past the bound the products
+        # are still below 2^1022, so the per-block check keeps counting.
+        g = np.random.default_rng(6)
+        draw_rows = g.uniform(-1.0, 1.0, (200, 10, 2)) * 2.0**509
+        truth_rows = g.uniform(-1.0, 1.0, (10, 2)) * 2.0**509
+        if where == "draws":
+            draw_rows[7, 3, 0] = value
+        else:
+            truth_rows[3, 1] = value
+        with np.errstate(all="ignore"), caplog.at_level(logging.DEBUG, logger="blast"):
+            want = einsum_pair_coverage(draw_rows, truth_rows, 0.9)
+            assert evalsim._pair_coverage(draw_rows, truth_rows, 0.9) == want
+        [rec] = [r for r in caplog.records if r.getMessage().startswith("event=coverage ")]
+        fields = dict(f.split("=", 1) for f in rec.getMessage().split())
+        assert (fields["guard"], fields["route"]) == (guard, route)
+
+    @pytest.mark.parametrize("route,guard", [
+        pytest.param("counts", "inputs", id="counts"),
+        pytest.param("quantile", "blocks", id="quantile"),
+    ])
+    def test_coverage_event_is_logged(self, route, guard, caplog):
         g = np.random.default_rng(4)
         draw_rows = g.standard_normal((200, 10, 2))
         if route == "quantile":
@@ -450,6 +501,7 @@ class TestRankCountCoverage:
         assert rec.levelno == logging.DEBUG
         fields = dict(f.split("=", 1) for f in rec.getMessage().split())
         assert fields["pairs"] == "55" and fields["route"] == route
+        assert (fields["blocks"], fields["block_pairs"], fields["guard"]) == ("1", "55", guard)
         assert float(fields["seconds"]) >= 0.0
         quantile_pairs = int(fields["quantile_pairs"])
         if route == "quantile":
@@ -498,7 +550,8 @@ class TestBlockedCoverage:
     @given(multi_block_cases())
     def test_matches_einsum_oracle_exactly(self, case):
         draw_rows, truth_rows, level, block_pairs = case
-        with np.errstate(all="ignore"), mock.patch.object(evalsim, "_PAIR_BLOCK", block_pairs):
+        budget = pair_budget(block_pairs, draw_rows.shape[0])
+        with np.errstate(all="ignore"), mock.patch.object(evalsim, "_BLOCK_BYTES", budget):
             want = einsum_pair_coverage(draw_rows, truth_rows, level)
             assert evalsim._pair_coverage(draw_rows, truth_rows, level) == want
 
@@ -506,12 +559,13 @@ class TestBlockedCoverage:
         g = np.random.default_rng(5)
         draw_rows = g.standard_normal((200, 10, 2))
         draw_rows[7, 0, 0] = np.inf  # pairs (0, j) fill the first of 6 blocks
-        monkeypatch.setattr(evalsim, "_PAIR_BLOCK", 10)
+        monkeypatch.setattr(evalsim, "_BLOCK_BYTES", pair_budget(10, 200))
         with np.errstate(invalid="ignore"), caplog.at_level(logging.DEBUG, logger="blast"):
             evalsim._pair_coverage(draw_rows, g.standard_normal((10, 2)), 0.9)
         [rec] = [r for r in caplog.records if r.getMessage().startswith("event=coverage ")]
         fields = dict(f.split("=", 1) for f in rec.getMessage().split())
         assert (fields["pairs"], fields["blocks"], fields["route"]) == ("55", "6", "mixed")
+        assert (fields["block_pairs"], fields["guard"]) == ("10", "blocks")
         assert 10 <= int(fields["quantile_pairs"]) < 55
 
 

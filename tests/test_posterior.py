@@ -1,8 +1,12 @@
+import json
 import logging
 import math
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -748,3 +752,40 @@ class TestRunBlast:
         # centering removes the constant shift; mean estimates roughly agree
         delta = np.abs(r_plain.spec.mu_lambda) - np.abs(r_shift.spec.mu_lambda)
         assert np.max(np.abs(delta)) < 0.5
+
+
+BLAS_FIT_SCRIPT = """
+import json, sys
+from dataclasses import asdict
+from blast.evalsim import SimScenario, generate
+from blast.posterior import BlastConfig, run_blast
+out = {}
+for name, n_s, p in (("desk", 300, 200), ("cli", 500, 1000)):
+    ds, _ = generate(SimScenario(n_studies=3, n_per_study=n_s, p=p, k0=5, q_s=4,
+                                 loading_sd=0.5, seed=101))
+    result = run_blast(ds, BlastConfig(n_mc=20, seed=101))
+    out[name] = {"dims": asdict(result.dims), "rho_lambda": result.spec.rho_lambda,
+                 "rho_gamma": list(result.spec.rho_gamma)}
+json.dump(out, sys.stdout)
+"""
+
+
+def test_blas_thread_count_keeps_dims_and_inflation():
+    # The BLAS half of the determinism contract: another OpenBLAS thread
+    # count may round the matrix products differently, so draw bytes may
+    # differ, but the selected ranks and the inflation factors agree.
+    src = str(Path(post.__file__).resolve().parents[1])
+    fits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", BLAS_FIT_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        fits.append(json.loads(done.stdout))
+    for name in ("desk", "cli"):
+        one, two = fits[0][name], fits[1][name]
+        assert one["dims"] == two["dims"], name
+        for a, b in zip([one["rho_lambda"], *one["rho_gamma"]],
+                        [two["rho_lambda"], *two["rho_gamma"]], strict=True):
+            assert abs(a - b) <= 1e-12 * abs(a), (name, a, b)
