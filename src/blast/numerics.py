@@ -3,32 +3,26 @@ order-preserving thread fan-out.
 
 Every SVD (`truncated_svd`), low-rank or full-rank, goes through the top
 eigenpairs of its input's short-side Gram matrix; dense LAPACK runs only
-when that route declines.  An array request forms that Gram matrix.  Two
-operators are never formed unless their route declines.  A `ProjectedStack`
-(the shared-signal matrix of `spectral`) takes products with its Gram
-matrix, each reading every study once, in cache-sized row blocks.  A
-`ProjectedStudy` (one study with the shared directions projected out)
-downdates the Gram matrix that an earlier request of the same fit formed
-for its study.
+when that route declines.  An array request forms that Gram matrix.  A
+`StudyGram` (one study matrix) keeps the Gram matrix and top eigenpairs that
+its first request formed, so a later request of no higher rank slices the
+eigenpairs.  Two operators are never formed unless their route declines.  A
+`ProjectedStack` (the shared-signal matrix of `spectral`) takes products
+with its Gram matrix, each reading every study once, in cache-sized row
+blocks.  A `ProjectedStudy` (one study with the shared directions projected
+out) downdates the Gram matrix that its study's `StudyGram` keeps.
 
-No function mutates its inputs, so every operation is safe to call from
-multiple threads.  The public functions are pure with one scoped exception:
-inside `_factorization_scope`, which `posterior.run_blast` opens around one
-fit's rank selection and factor estimation, `truncated_svd` keeps the Gram
-matrix and its top eigenpairs of each input array.  It serves a later
-request of no higher rank on the same array from the eigenpairs, and a
-`ProjectedStudy` request on it from the Gram matrix, which that request
-takes out of the scope.  Nothing is kept outside that scope, and
-`parallel_map` runs its tasks in copies of the caller's context, so the
-worker threads of a fit share its memo.
+No function mutates its array inputs, and nothing is kept between requests
+except on a `StudyGram`, which one thread at a time may use.  So every
+operation on arrays is safe to call from multiple threads.  `parallel_map`
+runs its tasks in copies of the caller's context, so a worker thread sees
+the caller's context variables, numpy's `errstate` among them.
 """
 
-import contextlib
 import contextvars
 import functools
 import hashlib
 import logging
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,33 +49,6 @@ _FILTER_DEGREE = 4
 # enough that the block is still in cache when it is read the second time.
 _BLOCK_BYTES = 512 * 1024
 _MIN_BLOCK_ROWS = 32
-
-
-# Gram matrices and their eigenpairs kept for the current fit, by id() of
-# the input array: (weakref to the array, top-R eigenvalues, k x R
-# eigenvectors, the lower triangle of the k x k Gram matrix, packed by
-# `_pack_lower`).  None outside `_factorization_scope`.
-_FIT_EIGENPAIRS = contextvars.ContextVar("fit_eigenpairs", default=None)
-
-
-@contextlib.contextmanager
-def _factorization_scope():
-    """Keep each array's Gram matrix and eigenpairs until the scope closes,
-    so that a later `truncated_svd` request of no higher rank on the same
-    array object slices the eigenpairs instead of decomposing again, and a
-    `ProjectedStudy` request on it downdates the Gram matrix.
-
-    An entry holds a weakref to its array, copies of the top eigenpairs and
-    the lower triangle of the Gram matrix (half its size, so that the
-    entries of earlier studies add less to the peak of a later study's
-    decomposition), never the array itself.  A `ProjectedStudy` request
-    removes its study's entry.  Arrays must not be mutated inside the scope.
-    """
-    token = _FIT_EIGENPAIRS.set({})
-    try:
-        yield
-    finally:
-        _FIT_EIGENPAIRS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -199,17 +166,44 @@ class _StackGram:
         return self.stack.dot(self.stack.tdot(x))
 
 
+class StudyGram:
+    """One study matrix Y and what `truncated_svd` requests on it formed:
+    copies of the top eigenpairs of its short-side Gram matrix, and that
+    matrix's lower triangle packed by `_pack_lower` (half its size, so that
+    the kept matrices of earlier studies add less to the peak of a later
+    study's decomposition), which a `ProjectedStudy` request downdates,
+    releasing both.  Requests skip the finiteness scan: Y is a finite 2-D
+    array, as a `MultiStudyDataset` checks its studies to be.  Y must not
+    be mutated, and one thread at a time may use the object.
+    """
+
+    def __init__(self, y):
+        self.y = y
+        self.shape = y.shape
+        self.eigenpairs = None   # (top-R eigenvalues, k x R eigenvectors)
+        self.packed_gram = None  # lower triangle of the k x k Gram matrix
+
+    def dense(self):
+        return self.y
+
+
+def _as_study(y, name):
+    """y if it is a `StudyGram`, else one over y checked by `_check_matrix`."""
+    return y if isinstance(y, StudyGram) else StudyGram(_check_matrix(y, name))
+
+
 class ProjectedStudy:
     """One study with shared directions projected out, Y (I - V V^T), never
     formed unless its SVD declines the downdate route (`dense` forms it).
 
-    V (p x k) has orthonormal columns.  Neither array may be mutated while
-    the operator is in use.
+    `study` is a `StudyGram`, whose kept Gram matrix the SVD downdates, or
+    an array Y.  V (p x k) has orthonormal columns.  Neither array may be
+    mutated while the operator is in use.
     """
 
-    def __init__(self, y, v):
-        self.y, self.v = y, v
-        self.shape = y.shape
+    def __init__(self, study, v):
+        self.source = study if isinstance(study, StudyGram) else StudyGram(study)
+        self.y, self.v, self.shape = self.source.y, v, self.source.shape
 
     def dense(self):
         return self.y - (self.y @ self.v) @ self.v.T
@@ -366,7 +360,8 @@ def _subspace_eigh(g, r):
 
 
 def _gram_top(g, r):
-    """Top-r eigenpairs of the Gram matrix g, or None, and the route taken."""
+    """Top-r eigenpairs of the Gram matrix g, or None when both eigensolvers
+    fail or give a non-finite value, and the route taken."""
     top, detail = _subspace_eigh(g, r)
     if top is not None:
         return top, "subspace iters=%d products=%d" % detail
@@ -375,35 +370,19 @@ def _gram_top(g, r):
         top = w[::-1][:r], v[:, ::-1][:, :r]
     except np.linalg.LinAlgError:
         pass
+    if top is not None and not _all_finite(*top):
+        top = None
     return top, f"full reason={detail}"
 
 
-def _svd_gram(a, r, memo):
-    """Top-r SVD via eigendecomposition of the short-side Gram matrix.
-
-    The top r eigenpairs come from `_subspace_eigh`, or from a full `eigh`
-    when it declines.  `memo` is the fit's memo (see `_factorization_scope`)
-    or None: a request on an array whose eigenpairs it keeps to rank r or
-    more slices them, and any other request leaves its Gram matrix and
-    eigenpairs there.  Returns None when both eigensolvers fail or the
-    smallest requested component is below `_GRAM_MIN_RATIO` of the largest,
-    in which case the caller falls back to LAPACK.  Logs one
-    `event=gram_eig` line with the route taken.
-    """
+def _gram_factors(a, r, top, route):
+    """Top-r SVD of the array a from `top`, the top-r eigenpairs of its
+    short-side Gram matrix that `route` found, or None (also when the
+    smallest is below `_GRAM_MIN_RATIO` of the largest, and the caller
+    falls back to LAPACK).  Logs one `event=gram_eig` line."""
     m, n = a.shape
     transposed = m < n
     b = a.T if transposed else a  # b is tall: rows >= cols
-    kept = memo.get(id(a)) if memo is not None else None
-    if kept is not None and kept[0]() is a and r <= kept[1].size:
-        top, route = (kept[1][:r], kept[2][:, :r]), "reuse"
-    else:
-        g = b.T @ b
-        top, route = _gram_top(g, r)
-        if top is not None and not _all_finite(*top):
-            top = None
-        if top is not None and memo is not None:
-            # copies, so no k x k eigenvector matrix outlives this request
-            memo[id(a)] = (weakref.ref(a), top[0].copy(), top[1].copy(), _pack_lower(g))
     if top is not None and top[0][-1] <= _GRAM_MIN_RATIO * top[0][0]:
         top, route = None, "lapack reason=ratio"
     logger.debug("event=gram_eig k=%d r=%d route=%s", b.shape[1], r, route)
@@ -413,37 +392,60 @@ def _svd_gram(a, r, memo):
     s = np.sqrt(np.maximum(w, 0.0))
     u = (b @ v) / s
     if transposed:
-        left, right = v, u
+        return v, s, u
+    return u, s, v
+
+
+def _svd_gram(a, r):
+    """Top-r SVD of an array via the top eigenpairs of its short-side Gram
+    matrix, by `_subspace_eigh` or, when that declines, a full `eigh`."""
+    b = a.T if a.shape[0] < a.shape[1] else a
+    return _gram_factors(a, r, *_gram_top(b.T @ b, r))
+
+
+def _svd_study(study, r):
+    """Top-r SVD of a `StudyGram`: its kept eigenpairs sliced when they reach
+    rank r (`route=reuse`), else the array route, whose Gram matrix and
+    eigenpairs the study then keeps; dense LAPACK when that declines."""
+    kept = study.eigenpairs
+    if kept is not None and r <= kept[0].size:
+        top, route = (kept[0][:r], kept[1][:, :r]), "reuse"
     else:
-        left, right = u, v
-    return left, s, right
+        b = study.y.T if study.shape[0] < study.shape[1] else study.y
+        g = b.T @ b
+        top, route = _gram_top(g, r)
+        if top is not None:
+            # copies, so no k x k eigenvector matrix outlives this request
+            study.eigenpairs = top[0].copy(), top[1].copy()
+            study.packed_gram = _pack_lower(g)
+    return _gram_factors(study.y, r, top, route) or _svd_lapack(study.y, r)
 
 
 def _svd_downdate(study, r):
     """Top-r SVD of a ProjectedStudy Y P, P = I - V V^T, from the Gram
-    matrix of Y that the fit's memo keeps, downdated in place.
+    matrix of Y that its `StudyGram` keeps, downdated in place.
 
     With B = Y V, the kept matrix becomes G - B B^T when it is G = Y Y^T
     (Y has fewer rows than columns), and P G P when it is G = Y^T Y: the
     Gram matrix of Y P either way.  Its top r eigenpairs come from
     `_gram_top`, and the other factor from one thin product with Y.  The
-    study's memo entry is removed, since the downdate is the last use of
-    its Gram matrix, which is unpacked once and downdated in place.
+    `StudyGram` releases its Gram matrix and eigenpairs, since the downdate
+    is their last use; the matrix is unpacked once and downdated in place.
     Cancellation in the downdate costs about eps * lambda_1(G), so the
     route declines when lambda_r of the downdated matrix is at most
     `_GRAM_MIN_RATIO` * lambda_1(G); it also declines when no Gram matrix
-    of Y is kept (outside a fit) or both eigensolvers fail.  Returns None
-    when it declines, and the caller forms Y P.  Logs one `event=gram_eig`
-    line: `route=downdate ...` with the eigensolver's route, or
-    `route=formed reason=ratio|no_gram|solver`.
+    of Y is kept or both eigensolvers fail.  Returns None when it
+    declines, and the caller forms Y P.  Logs one
+    `event=gram_eig` line: `route=downdate ...` with the eigensolver's
+    route, or `route=formed reason=ratio|no_gram|solver`.
     """
-    y, v = study.y, study.v
+    y, v, source = study.y, study.v, study.source
     m, n = y.shape
-    memo = _FIT_EIGENPAIRS.get()
-    kept = memo.pop(id(y), None) if memo is not None else None
+    packed, kept = source.packed_gram, source.eigenpairs
+    source.packed_gram = source.eigenpairs = None
     top, route = None, "formed reason=no_gram"
-    if kept is not None and kept[0]() is y:
-        g, lam_1 = _unpack_lower(kept[3], min(m, n)), kept[1][0]
+    if packed is not None:
+        g, lam_1 = _unpack_lower(packed, min(m, n)), kept[0][0]
         b = y @ v
         if m < n:
             g -= b @ b.T
@@ -454,8 +456,8 @@ def _svd_downdate(study, r):
             g -= h
             g -= h.T
         top, route = _gram_top(g, r)
-        if top is None or not _all_finite(*top):
-            top, route = None, "formed reason=solver"
+        if top is None:
+            route = "formed reason=solver"
         elif top[0][-1] <= _GRAM_MIN_RATIO * lam_1:
             top, route = None, "formed reason=ratio"
         else:
@@ -497,30 +499,31 @@ def _svd_stack(stack, r):
 def truncated_svd(a, r) -> SvdFactors:
     """Top-r singular value decomposition with a deterministic sign convention.
 
-    `a` is an array, a `ProjectedStack` or a `ProjectedStudy`.  The
-    reconstruction left @ diag(singvals) @ right.T is the best rank-r
-    approximation of `a` in Frobenius norm.  Every request takes one route:
-    the top eigenpairs of the short-side Gram matrix, so no factor larger
-    than the input is ever formed.  Each request logs one `event=gram_eig`
-    line at DEBUG with the route taken:
+    `a` is an array, a `StudyGram`, a `ProjectedStack` or a
+    `ProjectedStudy`.  The reconstruction left @ diag(singvals) @ right.T
+    is the best rank-r approximation of `a` in Frobenius norm.  Every
+    request takes one route: the top eigenpairs of the short-side Gram
+    matrix, so no factor larger than the input is ever formed.  Each
+    request logs one `event=gram_eig` line at DEBUG with the route taken:
 
     - an array request forms that Gram matrix: `route=subspace iters=N
       products=P`, `route=full reason=...`, or `route=lapack reason=ratio`;
-      inside a fit, `route=reuse` (below);
+    - a `StudyGram` request takes the array route and keeps what it formed,
+      or slices the kept eigenpairs, `route=reuse` (below);
     - a stack request runs the subspace iteration below on products with
       the Gram matrix, `route=stack iters=N products=P`.  When the stack has
       at least as many rows as columns, a product reads each study once, in
       row blocks of about 512 KiB (`ProjectedStack.gram_dot`); otherwise it
       is `dot` after `tdot`;
-    - a study request downdates the Gram matrix of its study that an
-      earlier request of the same fit formed, `route=downdate subspace ...`
-      or `route=downdate full ...` (see `_svd_downdate`).
+    - a `ProjectedStudy` request downdates the Gram matrix that an earlier
+      request on its `StudyGram` formed, `route=downdate subspace ...` or
+      `route=downdate full ...` (see `_svd_downdate`).
 
     When an operator's route declines (for any reason below, the
     `_GRAM_MIN_RATIO` guard, or no kept Gram matrix), it logs
     `route=dense reason=...` (stack) or `route=formed reason=...` (study),
     the operator is formed once, and the request goes on as an array
-    request outside the fit's memo.
+    request.
 
     Only the top r eigenpairs are computed, by seeded subspace iteration: a
     first Rayleigh-Ritz step, then Chebyshev-filtered steps on the Ritz
@@ -532,12 +535,11 @@ def truncated_svd(a, r) -> SvdFactors:
     the singular values agree within a relative 1e-12 and each factor's
     column span within a sine of the largest principal angle of 1e-10.
 
-    Inside one fit (`_factorization_scope`, opened by `run_blast`), the Gram
-    matrix and eigenpairs of each input array are kept.  A later request of
-    no higher rank on the same array object slices the eigenpairs and logs
-    `route=reuse`; its factors meet the same tolerance against dense
-    LAPACK.  A study request takes its study's Gram matrix out of the memo.
-    Outside a fit every request decomposes afresh.
+    A `StudyGram` keeps the Gram matrix and eigenpairs that a request on it
+    formed.  A later request of no higher rank slices the eigenpairs and
+    logs `route=reuse`; its factors meet the same tolerance against dense
+    LAPACK.  An array request keeps nothing and is checked to be 2-D and
+    finite, so every array request decomposes afresh.
 
     Dense LAPACK runs only when the Gram route declines: when
     sigma_r^2 / sigma_1^2 is below `_GRAM_MIN_RATIO`, too small for the Gram
@@ -548,10 +550,8 @@ def truncated_svd(a, r) -> SvdFactors:
     the shape and rank, when the retry fails as well.
     """
     operator = isinstance(a, (ProjectedStack, ProjectedStudy))
-    memo = None
-    if not operator:
+    if not operator and not isinstance(a, StudyGram):
         a = _check_matrix(a)
-        memo = _FIT_EIGENPAIRS.get()
     m, n = a.shape
     small = min(m, n)
     r = int(r)
@@ -559,14 +559,16 @@ def truncated_svd(a, r) -> SvdFactors:
         raise DimensionError(f"rank r={r} outside [1, {small}] for shape {a.shape}")
 
     out = None
-    if isinstance(a, ProjectedStack):
+    if isinstance(a, StudyGram):
+        out = _svd_study(a, r)
+    elif isinstance(a, ProjectedStack):
         out = _svd_stack(a, r)
     elif operator:
         out = _svd_downdate(a, r)
     if out is None:
         if operator:
-            a = a.dense()  # dies with this request, so kept out of the memo
-        out = _svd_gram(a, r, memo)
+            a = a.dense()  # dies with this request
+        out = _svd_gram(a, r)
     if out is None:
         out = _svd_lapack(a, r)
     left, s, right = out
@@ -592,9 +594,10 @@ def parallel_map(fn, n, threads):
     """[fn(0), ..., fn(n - 1)], on up to `threads` worker threads.
 
     Results come back in index order whatever the schedule, and an exception
-    raised by `fn` reaches the caller unchanged.  Each call sees the
-    caller's context variables, so a worker thread shares the caller's
-    `_factorization_scope` and returns what a sequential call would.
+    raised by `fn` reaches the caller unchanged.  Each call runs in a copy
+    of the caller's context, so a worker thread sees the caller's context
+    variables, numpy's `errstate` among them (a context variable since numpy
+    2), and behaves as a call at `threads` 1 would.
     """
     if threads <= 1 or n <= 1:
         return [fn(i) for i in range(n)]

@@ -3,17 +3,18 @@
 Per-study total ranks come from a penalized surrogate log-likelihood
 (information criterion); the shared rank comes from the gap in the spectrum
 of the averaged projector.  One SVD per study is computed and reused across
-all candidate ranks.
+all candidate ranks, and its eigenpairs, kept on the study's
+`numerics.StudyGram`, serve the basis at the chosen rank and the factor step.
 """
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSignalError, DegenerateVarianceError, DimensionError
-from .numerics import _check_matrix, parallel_map, truncated_svd
+from .numerics import StudyGram, _as_study, parallel_map, truncated_svd
 from .spectral import LatentDims, MultiStudyDataset, projection_weights, shared_basis
 
 logger = logging.getLogger(__name__)
@@ -76,8 +77,10 @@ class JicTrace:
 
 
 def _study_svd_summary(y_s, k_max):
-    """One truncated SVD plus the column statistics reused for every k."""
+    """One truncated SVD of y_s, an array or a `StudyGram`, plus the column
+    statistics reused for every k."""
     fac = truncated_svd(y_s, k_max)
+    y_s = y_s.dense() if isinstance(y_s, StudyGram) else y_s
     col_sq = np.einsum("ij,ij->j", y_s, y_s)  # bit-equal to np.sum(y_s**2, axis=0)
     # energy captured by each component, per outcome: (d_l * v_jl)^2
     comp_sq = (fac.right * fac.singvals) ** 2  # p x k_max
@@ -141,24 +144,25 @@ def surrogate_loglik(y_s, k, tau_s) -> float:
     variances the per-outcome mean squared residual from the unshrunk
     projection.
     """
-    y_s = _check_matrix(y_s, "y_s")
-    n_s, p = y_s.shape
+    study = _as_study(y_s, "y_s")
+    n_s, p = study.shape
     if not 1 <= k <= min(n_s, p):
         raise DimensionError(f"k={k} outside [1, {min(n_s, p)}]")
-    _, col_sq, comp_sq = _study_svd_summary(y_s, k)
+    _, col_sq, comp_sq = _study_svd_summary(study, k)
     return _loglik_at_k(n_s, p, col_sq, comp_sq, k, float(tau_s) ** 2)
 
 
 def select_study_rank(y_s, cfg: RankSelectionConfig):
     """Pick the per-study rank minimizing the penalized surrogate criterion.
 
-    Ties break toward smaller k.  Returns (k_hat, JicTrace).
+    Ties break toward smaller k.  `y_s` is an array or a `StudyGram`, which
+    keeps the eigenpairs for later requests.  Returns (k_hat, JicTrace).
     """
-    y_s = _check_matrix(y_s, "y_s")
-    n_s, p = y_s.shape
+    study = _as_study(y_s, "y_s")
+    n_s, p = study.shape
     cap = _largest_k_max(min(n_s, p))
     k_max = min(cfg.k_max if cfg.k_max is not None else DEFAULT_K_MAX_CAP, cap)
-    _, col_sq, comp_sq = _study_svd_summary(y_s, k_max)
+    _, col_sq, comp_sq = _study_svd_summary(study, k_max)
 
     ks = np.arange(1, k_max + 1)
     loglik = _loglik_all_k(n_s, p, col_sq, comp_sq)
@@ -185,7 +189,7 @@ def select_shared_rank(p_tilde_spectrum, k_hat_s, tau) -> int:
 @dataclass(frozen=True)
 class RankReport:
     """Everything rank selection produced; dims is None when no shared
-    structure was found (k0 = 0)."""
+    structure was found (k0 = 0); `studies` serve `estimate_factors`."""
 
     k0: int
     k_hat_s: tuple
@@ -193,16 +197,13 @@ class RankReport:
     traces: tuple
     spectrum: np.ndarray
     k_max: int
+    studies: tuple = field(repr=False)
 
     @property
     def dims(self):
         if self.k0 == 0:
             return None
-        return LatentDims(
-            k0=self.k0,
-            k_s=tuple(max(k, self.k0) for k in self.k_hat_s),
-            q_s=self.q_s,
-        )
+        return LatentDims(k0=self.k0, k_s=self.k_hat_s, q_s=self.q_s)
 
 
 def select_dims(dataset: MultiStudyDataset, cfg: RankSelectionConfig, weighting="uniform",
@@ -229,12 +230,12 @@ def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
     weights = projection_weights(dataset, weighting)
     k_max = cfg.resolve_k_max(dataset)
     eff_cfg = RankSelectionConfig(k_max=k_max, tau=cfg.tau)
+    studies = tuple(StudyGram(y) for y in dataset.studies)
 
     def one_study(s):
-        k_hat, trace = select_study_rank(dataset.studies[s], eff_cfg)
-        # A second SVD, at the chosen rank, gives the basis in the report;
-        # inside run_blast it slices the eigenpairs of the first.
-        fac = truncated_svd(dataset.studies[s], k_hat)
+        k_hat, trace = select_study_rank(studies[s], eff_cfg)
+        # a second SVD, at the chosen rank, slices the eigenpairs of the first
+        fac = truncated_svd(studies[s], k_hat)
         return k_hat, trace, fac.right
 
     results = parallel_map(one_study, dataset.n_studies, threads)
@@ -250,15 +251,6 @@ def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
     if k0 == 0:
         logger.warning("event=no_shared_structure top_singval=%.4f threshold=%.4f",
                        spectrum[0], 1.0 - eff_cfg.tau)
-        q_s = tuple(k_hat_s)
-    else:
-        q_s = []
-        for s, k_hat in enumerate(k_hat_s):
-            q = k_hat - k0
-            if q < 0:
-                logger.warning("event=k_s_below_k0 study=%d k_hat=%d k0=%d", s, k_hat, k0)
-                q = 0
-            q_s.append(q)
-        q_s = tuple(q_s)
-    return RankReport(k0=k0, k_hat_s=tuple(k_hat_s), q_s=q_s, traces=tuple(traces),
-                      spectrum=spectrum, k_max=k_max)
+    # select_shared_rank caps k0 at min(k_hat_s), so no q_s is negative
+    return RankReport(k0=k0, k_hat_s=tuple(k_hat_s), q_s=tuple(k - k0 for k in k_hat_s),
+                      traces=tuple(traces), spectrum=spectrum, k_max=k_max, studies=studies)

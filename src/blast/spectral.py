@@ -14,9 +14,9 @@ matrix: it works on a `numerics.ProjectedStudy`, whose Gram matrix is a
 rank-k0 downdate of the study's own.  The shared-factor SVD of step (4)
 forms neither the stacked n x p matrix nor its Gram matrix: it works on a
 `numerics.ProjectedStack`, through products that read each study once.
-Inside `run_blast`, `study_right_basis` slices the Gram eigenpairs that rank
-selection computed for the same study matrix, and step (3) downdates the
-Gram matrix that rank selection formed, instead of forming either again.
+Each study is decomposed once, on its `numerics.StudyGram`: in `run_blast`,
+step (1) slices the eigenpairs that rank selection kept there (or forms them
+when the dims are given), and step (3) downdates the kept Gram matrix.
 Step (4) keeps each study's U_s^T Y_s, which is all the posterior reads of
 the specific factors against the data.
 """
@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateSignalError, DimensionError, ParameterError
-from .numerics import ProjectedStack, ProjectedStudy, _check_matrix, parallel_map, truncated_svd
+from .numerics import (ProjectedStack, ProjectedStudy, StudyGram, _as_study, _check_matrix,
+                       parallel_map, truncated_svd)
 
 _RANK_TOL = 1e-12
 # the names `projection_weights` decides
@@ -156,10 +157,10 @@ class FactorEstimates:
 def study_right_basis(y_s, k_s) -> np.ndarray:
     """Leading-k_s right singular vectors of one study (p x k_s).
 
-    The projection P_s = V_s V_s^T is represented by this basis only.
+    The projection P_s = V_s V_s^T is represented by this basis only.  `y_s`
+    is an array or a `StudyGram`.
     """
-    y_s = _check_matrix(y_s, "y_s")
-    fac = truncated_svd(y_s, k_s)
+    fac = truncated_svd(_as_study(y_s, "y_s"), k_s)
     if fac.singvals[-1] < _RANK_TOL * max(fac.singvals[0], _RANK_TOL):
         raise DegenerateSignalError(
             f"singular value {k_s} of the study matrix is numerically zero; "
@@ -202,22 +203,22 @@ def specific_factors(y_s, v_bar, q_s):
     """Specific factors of one study after removing the shared directions.
 
     Decomposes Y_s with its shared-span component projected out, as a
-    `ProjectedStudy` (inside a fit, a downdate of the Gram matrix that rank
-    selection formed), and returns (f_hat_s, u_perp_s) where
+    `ProjectedStudy` (a downdate of the Gram matrix that `y_s` keeps, if
+    it is a `StudyGram`), and returns (f_hat_s, u_perp_s) where
     f_hat_s = sqrt(n_s) u_perp_s holds the leading q_s left singular
     vectors.  q_s = 0 yields empty (n_s x 0) factors.
     """
-    y_s = _check_matrix(y_s, "y_s")
+    study = _as_study(y_s, "y_s")
     v_bar = _check_matrix(v_bar, "v_bar")
-    if y_s.shape[1] != v_bar.shape[0]:
-        raise DimensionError(f"y_s has p={y_s.shape[1]} but v_bar has p={v_bar.shape[0]}")
-    n_s = y_s.shape[0]
+    n_s, p = study.shape
+    if p != v_bar.shape[0]:
+        raise DimensionError(f"y_s has p={p} but v_bar has p={v_bar.shape[0]}")
     if q_s == 0:
         empty = np.zeros((n_s, 0))
         return empty, empty
-    fac = truncated_svd(ProjectedStudy(y_s, v_bar), q_s)
+    fac = truncated_svd(ProjectedStudy(study, v_bar), q_s)
     # degeneracy is judged against the scale of the input, not the residual
-    scale = max(float(np.linalg.norm(y_s)), _RANK_TOL)
+    scale = max(float(np.linalg.norm(study.y)), _RANK_TOL)
     if fac.singvals[-1] < _RANK_TOL * scale:
         raise DegenerateSignalError(
             f"residual signal after removing shared directions has rank < q_s={q_s}"
@@ -267,24 +268,28 @@ def estimate_factors(
     dims: LatentDims,
     weighting="uniform",
     threads=1,
+    studies=None,
 ) -> FactorEstimates:
     """Run the full four-step factor estimator.
 
     `weighting` selects uniform projector averaging (default) or sample-size
     weighting ("by_n").  Per-study steps may run on `threads` workers; the
-    result is identical to sequential execution.
+    result is identical to sequential execution.  `studies` holds the
+    `StudyGram` of each study, as `RankReport.studies`; None builds them.
     """
     dims.validate_for(dataset)
     weights = projection_weights(dataset, weighting)
+    if studies is None:
+        studies = tuple(StudyGram(y) for y in dataset.studies)
 
     bases = parallel_map(
-        lambda s: study_right_basis(dataset.studies[s], dims.k_s[s]),
+        lambda s: study_right_basis(studies[s], dims.k_s[s]),
         dataset.n_studies,
         threads,
     )
     v_bar, spectrum = shared_basis(bases, dims.k0, weights=weights)
     specific = parallel_map(
-        lambda s: specific_factors(dataset.studies[s], v_bar, dims.q_s[s]),
+        lambda s: specific_factors(studies[s], v_bar, dims.q_s[s]),
         dataset.n_studies,
         threads,
     )

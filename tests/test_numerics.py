@@ -1,7 +1,5 @@
-import contextlib
 import logging
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -298,6 +296,9 @@ def gram_eig_lines(caplog):
 
 
 class TestFactorizationScope:
+    """What one study's factorization keeps: a `StudyGram` holds its study's
+    Gram matrix and eigenpairs, and a plain array keeps nothing."""
+
     def gapped(self, rng, m=120, n=80, rank=6):
         return (rng.standard_normal((m, n))
                 + 50.0 * random_orthonormal(rng, m, rank) @ random_orthonormal(rng, n, rank).T)
@@ -305,24 +306,26 @@ class TestFactorizationScope:
     def test_lower_rank_request_reuses_within_tolerance(self, rng, caplog):
         a = self.gapped(rng)
         fresh = truncated_svd(a, 3)
+        study = numerics.StudyGram(a)
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
-            with numerics._factorization_scope():
-                truncated_svd(a, 8)
-                reused = truncated_svd(a, 3)
+            truncated_svd(study, 8)
+            reused = truncated_svd(study, 3)
         lines = gram_eig_lines(caplog)
         assert len(lines) == 2 and lines[1].endswith(" route=reuse")
         np.testing.assert_allclose(reused.singvals, fresh.singvals, rtol=1e-12, atol=0)
         assert sine_largest_angle(reused.left, fresh.left) <= 1e-10
         assert sine_largest_angle(reused.right, fresh.right) <= 1e-10
-        assert numerics._FIT_EIGENPAIRS.get() is None
 
     def test_no_reuse_outside_a_fit(self, rng, caplog):
+        # plain array requests, and a fresh StudyGram over the same array,
+        # each decompose afresh
         a = self.gapped(rng)
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
             for r in (8, 3, 3):
                 truncated_svd(a, r)
+            truncated_svd(numerics.StudyGram(a), 3)
         lines = gram_eig_lines(caplog)
-        assert len(lines) == 3 and not any("route=reuse" in line for line in lines)
+        assert len(lines) == 4 and not any("route=reuse" in line for line in lines)
 
     def test_back_to_back_fits_log_the_same_routes(self, caplog):
         dataset, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
@@ -341,55 +344,53 @@ class TestFactorizationScope:
     def test_entries_hold_small_copies_not_arrays(self):
         dataset, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
                                           loading_sd=0.5, seed=31))
-        with numerics._factorization_scope():
-            dims = ranks.select_dims(dataset, ranks.RankSelectionConfig())
-            entries = list(numerics._FIT_EIGENPAIRS.get().values())
-        # one per study, and one for the bases of the shared spectrum
-        assert len(entries) == 4
-        for ref, w, v, gram in entries:
-            assert isinstance(ref, weakref.ref)
+        report = ranks.select_dims_report(dataset, ranks.RankSelectionConfig())
+        assert len(report.studies) == 3
+        for y, study in zip(dataset.studies, report.studies, strict=True):
+            assert study.y is y and study.dense() is y and study.shape == y.shape
+            w, v = study.eigenpairs
             # copies owning their data, not views into a k x k eigh output
             assert w.base is None and v.base is None
             assert w.ndim == 1 and v.shape[1] == w.size <= v.shape[0]
             # the lower triangle of the short-side Gram matrix, not the input array
             k = v.shape[0]
-            assert gram.shape == (k * (k + 1) // 2,) and gram.base is None
+            assert study.packed_gram.shape == (k * (k + 1) // 2,)
+            assert study.packed_gram.base is None
+            np.testing.assert_allclose(numerics._unpack_lower(study.packed_gram, k), y @ y.T,
+                                       rtol=1e-12, atol=0)
 
-    def test_memo_gives_up_each_gram_at_its_downdate(self):
+    def test_each_gram_is_released_at_its_downdate(self):
         dataset, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
                                           loading_sd=0.5, seed=31))
+        report = ranks.select_dims_report(dataset, ranks.RankSelectionConfig())
+        dims = report.dims
 
         def kept_studies():
-            memo = numerics._FIT_EIGENPAIRS.get()
-            return [s for s, y in enumerate(dataset.studies)
-                    if id(y) in memo and memo[id(y)][0]() is y]
+            return [s for s, study in enumerate(report.studies)
+                    if study.packed_gram is not None]
 
-        with numerics._factorization_scope():
-            dims = ranks.select_dims(dataset, ranks.RankSelectionConfig())
-            assert kept_studies() == [0, 1, 2]
-            v_bar = random_orthonormal(np.random.default_rng(0), dataset.p, dims.k0)
-            spectral.specific_factors(dataset.studies[1], v_bar, dims.q_s[1])
-            assert kept_studies() == [0, 2]
-            spectral.estimate_factors(dataset, dims)
-            assert kept_studies() == []
-            memo = numerics._FIT_EIGENPAIRS.get()
-            # only the shared-basis requests keep an entry, each a small Gram matrix
-            k = sum(dims.k_s)
-            assert all(entry[3].size <= k * (k + 1) // 2 for entry in memo.values())
-        assert numerics._FIT_EIGENPAIRS.get() is None
+        assert kept_studies() == [0, 1, 2]
+        v_bar = random_orthonormal(np.random.default_rng(0), dataset.p, dims.k0)
+        spectral.specific_factors(report.studies[1], v_bar, dims.q_s[1])
+        assert kept_studies() == [0, 2]
+        spectral.estimate_factors(dataset, dims, studies=report.studies)
+        assert kept_studies() == []
+        # the eigenpairs go with the Gram matrix, as nothing later reads them
+        assert all(study.eigenpairs is None for study in report.studies)
 
-    def test_worker_threads_share_the_scope(self, rng, caplog):
-        # more workers than cores, switching often: a memo entry lost by a
-        # racing worker would turn a reuse line into a fresh request
+    def test_worker_threads_keep_their_studies(self, rng, caplog):
+        # more workers than cores, switching often: eigenpairs lost or mixed
+        # up by a racing worker would turn a reuse line into a fresh request
+        # or change the factors
         inputs = [self.gapped(rng, 60, 40, 4) for _ in range(24)]
 
-        def task(i):
-            truncated_svd(inputs[i], 6)
-            return truncated_svd(inputs[i], 3)
+        def task(study):
+            truncated_svd(study, 6)
+            return truncated_svd(study, 3)
 
         def run(threads):
-            with numerics._factorization_scope():
-                return parallel_map(task, len(inputs), threads)
+            studies = [numerics.StudyGram(a) for a in inputs]
+            return parallel_map(lambda i: task(studies[i]), len(inputs), threads)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -608,11 +609,11 @@ class TestProjectedStudy:
     @pytest.mark.parametrize("shape", [(300, 900), (300, 200)], ids=["n<p", "n>p"])
     def test_downdate_matches_dense_lapack(self, monkeypatch, caplog, shape):
         y, v_bar = downdate_case(shape, 41)
-        study = numerics.ProjectedStudy(y, v_bar)
+        kept = numerics.StudyGram(y)
+        study = numerics.ProjectedStudy(kept, v_bar)
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
-            with numerics._factorization_scope():
-                truncated_svd(y, 30)
-                fac = truncated_svd(study, 4)
+            truncated_svd(kept, 30)
+            fac = truncated_svd(study, 4)
         assert gram_eig_lines(caplog)[1].startswith(
             f"event=gram_eig k={min(shape)} r=4 route=downdate subspace iters=")
         dense = dense_truncated_svd(monkeypatch, study.dense(), 4)
@@ -620,20 +621,22 @@ class TestProjectedStudy:
         assert sine_largest_angle(fac.left, dense.left) <= 1e-10
         assert sine_largest_angle(fac.right, dense.right) <= 1e-10
 
-    @pytest.mark.parametrize("scoped", [True, False], ids=["guard", "outside_a_fit"])
-    def test_declined_request_forms_the_study(self, monkeypatch, caplog, scoped):
+    @pytest.mark.parametrize("kept", [True, False], ids=["guard", "outside_a_fit"])
+    def test_declined_request_forms_the_study(self, monkeypatch, caplog, kept):
         # a shared part 1e3 times the data's dwarfs the residual: the
-        # downdate would cancel more than roundoff, so the guard declines
-        y, v_bar = downdate_case((300, 900), 42, shared_scale=1e3 if scoped else 1.0)
-        study = numerics.ProjectedStudy(y, v_bar)
+        # downdate would cancel more than roundoff, so the guard declines.
+        # Over a plain array there is no kept Gram matrix to downdate
+        y, v_bar = downdate_case((300, 900), 42, shared_scale=1e3 if kept else 1.0)
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
-            with numerics._factorization_scope() if scoped else contextlib.nullcontext():
-                if scoped:
-                    truncated_svd(y, 30)
-                    caplog.clear()
-                fac = truncated_svd(study, 4)
+            if kept:
+                study = numerics.ProjectedStudy(numerics.StudyGram(y), v_bar)
+                truncated_svd(study.source, 30)
+                caplog.clear()
+            else:
+                study = numerics.ProjectedStudy(y, v_bar)
+            fac = truncated_svd(study, 4)
             lines = gram_eig_lines(caplog)
-            reason = "ratio" if scoped else "no_gram"
+            reason = "ratio" if kept else "no_gram"
             assert lines[0] == f"event=gram_eig k=300 r=4 route=formed reason={reason}"
             caplog.clear()
             assert_same_factors(fac, truncated_svd(study.dense(), 4))
@@ -727,6 +730,14 @@ class TestParallelMap:
         with pytest.raises(Boom) as info:
             parallel_map(fn, 4, threads)
         assert info.value.args == (2,)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_workers_see_the_callers_errstate(self, threads):
+        # numpy's errstate is a context variable: a worker thread that did
+        # not run in a copy of the caller's context would see the default
+        with np.errstate(over="raise"):
+            seen = parallel_map(lambda i: np.geterr()["over"], 8, threads)
+        assert seen == ["raise"] * 8
 
 
 class TestRngStreams:

@@ -741,6 +741,31 @@ class TestRunBlast:
         assert result.draws[0].gamma_tilde_s[1].shape == (30, 2)
         assert result.spec.rho_gamma[0] == 1.0
 
+    @pytest.mark.parametrize("fixed_dims", [False, True], ids=["selected", "fixed"])
+    def test_each_study_matrix_is_scanned_at_most_once(self, monkeypatch, fixed_dims):
+        # the dataset checks its studies when it is built; a fit's requests
+        # on them scan none again, with or without centering
+        from blast import numerics, ranks, spectral
+
+        ds, _ = generate(SimScenario(n_studies=3, n_per_study=120, p=150, k0=3, q_s=2,
+                                     loading_sd=0.5, seed=31))
+        dims = LatentDims(k0=3, k_s=(5, 5, 5), q_s=(2, 2, 2)) if fixed_dims else None
+        scanned = []
+        check = numerics._check_matrix
+
+        def counting_check(a, name="a"):
+            scanned.append(a)
+            return check(a, name)
+
+        for module in (numerics, ranks, spectral):
+            if hasattr(module, "_check_matrix"):
+                monkeypatch.setattr(module, "_check_matrix", counting_check)
+        for center in (False, True):
+            scanned.clear()
+            run_blast(ds, BlastConfig(dims=dims, n_mc=0, seed=1, center_columns=center))
+            studies = [a for a in scanned if a.shape == ds.studies[0].shape]
+            assert len(studies) == len({id(a) for a in studies}) == 3 * center
+
     def test_center_columns_flag(self):
         ds, truth = generate(SimScenario(n_studies=2, n_per_study=50, p=30, k0=2,
                                          q_s=2, loading_sd=1.0, seed=23))

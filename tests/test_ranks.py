@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blast.errors import DegenerateSignalError, DegenerateVarianceError, DimensionError
 from blast.evalsim import SimScenario, generate
@@ -211,6 +213,14 @@ class TestSelectSharedRank:
     def test_empty_spectrum(self):
         with pytest.raises(DimensionError):
             select_shared_rank(np.array([]), [2], 0.2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectrum=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+           k_hat_s=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+           tau=st.floats(0.01, 0.99))
+    def test_never_above_the_smallest_study_rank(self, spectrum, k_hat_s, tau):
+        # so k_hat_s - k0 >= 0 in every study: rank selection's q_s
+        assert select_shared_rank(np.array(spectrum), k_hat_s, tau) <= min(k_hat_s)
 
 
 class TestSelectDims:

@@ -7,7 +7,7 @@ import pytest
 from blast.errors import DegenerateSignalError, DimensionError, ParameterError
 from blast.evalsim import SimScenario, generate, procrustes_error
 from blast.numerics import ProjectedStack
-from blast.posterior import BlastConfig
+from blast.posterior import BlastConfig, run_blast
 from blast.ranks import RankSelectionConfig, select_dims_report
 from blast.spectral import (
     PROJECTION_WEIGHTINGS,
@@ -276,6 +276,19 @@ class TestEstimateFactors:
         for new_s, old_s in enumerate(order):
             np.testing.assert_allclose(fe_p.f_hat_s[new_s], fe.f_hat_s[old_s], atol=1e-8)
             np.testing.assert_allclose(fe_p.m_hat_s[new_s], fe.m_hat_s[old_s], atol=1e-7)
+
+    def test_direct_call_equals_the_fit(self):
+        # a direct call decomposes each study once, as run_blast does with
+        # fixed dims: the specific factors downdate the basis request's Gram
+        ds, _ = generate(desk_scenario(101))
+        dims = LatentDims(k0=5, k_s=(9, 9, 9), q_s=(4, 4, 4))
+        direct = estimate_factors(ds, dims)
+        fit = run_blast(ds, BlastConfig(dims=dims, n_mc=0)).factors
+        for f in dataclasses.fields(direct):
+            got, want = getattr(direct, f.name), getattr(fit, f.name)
+            pairs = zip(got, want, strict=True) if isinstance(want, tuple) else [(got, want)]
+            for x, y in pairs:
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
 
     def test_threads_identical(self, rng):
         ds, _ = generate(SimScenario(n_studies=3, n_per_study=40, p=30, k0=2, q_s=2, seed=13))
