@@ -3,7 +3,10 @@ order-preserving thread fan-out.
 
 Every SVD (`truncated_svd`), low-rank or full-rank, goes through the top
 eigenpairs of its input's short-side Gram matrix; dense LAPACK runs only
-when that route declines.  An array request forms that Gram matrix.  A
+when that route declines.  Those eigenpairs come from seeded subspace
+iteration on r + 3 columns, or from LAPACK's `dsyevr` for the top r alone,
+bound through ctypes in the library numpy links (numpy's full `eigh` on
+builds without it).  An array request forms that Gram matrix.  A
 `StudyGram` (one study matrix) keeps the Gram matrix and top eigenpairs that
 its first request formed, so a later request of no higher rank slices the
 eigenpairs.  Two operators are never formed unless their route declines.  A
@@ -12,7 +15,8 @@ with its Gram matrix, each reading every study once, in cache-sized row
 blocks.  A `ProjectedStudy` (one study with the shared directions projected
 out) downdates the Gram matrix that its study's `StudyGram` keeps.
 
-No function mutates its array inputs, and nothing is kept between requests
+No public function mutates its array inputs (the full route overwrites
+only a Gram matrix formed for it), and nothing is kept between requests
 except on a `StudyGram`, which one thread at a time may use.  So every
 operation on arrays is safe to call from multiple threads.  `parallel_map`
 runs its tasks in copies of the caller's context, so a worker thread sees
@@ -20,6 +24,7 @@ the caller's context variables, numpy's `errstate` among them.
 """
 
 import contextvars
+import ctypes
 import functools
 import hashlib
 import logging
@@ -49,6 +54,9 @@ _FILTER_DEGREE = 4
 # enough that the block is still in cache when it is read the second time.
 _BLOCK_BYTES = 512 * 1024
 _MIN_BLOCK_ROWS = 32
+
+# LAPACKE's code for column-major storage.
+_COL_MAJOR = 102
 
 
 @dataclass(frozen=True)
@@ -168,10 +176,12 @@ class _StackGram:
 
 class StudyGram:
     """One study matrix Y and what `truncated_svd` requests on it formed:
-    copies of the top eigenpairs of its short-side Gram matrix, and that
-    matrix's lower triangle packed by `_pack_lower` (half its size, so that
-    the kept matrices of earlier studies add less to the peak of a later
-    study's decomposition), which a `ProjectedStudy` request downdates,
+    the top R eigenpairs of its short-side Gram matrix (k x R
+    eigenvectors, never a view into a k x k matrix), and that matrix's
+    lower triangle packed by `_pack_lower` (half its size, so that the
+    kept matrices of earlier studies add less to the peak of a later
+    study's decomposition), packed before the full route may overwrite the
+    matrix.  A `ProjectedStudy` request downdates the packed matrix,
     releasing both.  Requests skip the finiteness scan: Y is a finite 2-D
     array, as a `MultiStudyDataset` checks its studies to be.  Y must not
     be mutated, and one thread at a time may use the object.
@@ -234,11 +244,8 @@ def _check_matrix(a, name="a"):
 
 def _apply_sign_convention(left, right):
     # Largest-|entry| of each right column made positive; first index wins ties.
-    flips = np.ones(right.shape[1])
-    for c in range(right.shape[1]):
-        col = right[:, c]
-        if col[np.argmax(np.abs(col))] < 0:
-            flips[c] = -1.0
+    peaks = right[np.argmax(np.abs(right), axis=0), np.arange(right.shape[1])]
+    flips = np.where(peaks < 0, -1.0, 1.0)
     return left * flips, right * flips
 
 
@@ -305,26 +312,28 @@ def _subspace_eigh(g, r):
     iteration.  g is an array or an operator such as `_StackGram`: only its
     `shape` and products `g @ x` are used.
 
-    A block of width l = 2r + 5, started from one fixed random stream (it
+    A block of width l = r + 3, started from one fixed random stream (it
     only seeds the iteration), takes one product and QR, and the
     Rayleigh-Ritz pairs of the next product are checked (Halko, Martinsson
     & Tropp, SIAM Rev. 2011).  After that first step, each step applies a
     Chebyshev filter of degree up to `_FILTER_DEGREE` on [0, theta_l] to the
     Ritz block, normalises its columns, and checks the Rayleigh-Ritz pairs
-    of one QR of it.  Returns ((w, v), (iters, products)), w nonincreasing,
-    once every kept pair meets `_EIG_TOL`.  Returns (None, reason) when a
-    full `eigh` is the better choice: "wide_block" when the block would span
-    an eighth of g or more (a rank that wide, like rank selection's k_max,
-    mostly ends inside the noise bulk, where the first Ritz step only
-    declines), "slow_gap" when the first Ritz ratio theta_l / theta_r
-    predicts more than 2k / l plain products (about the cost of a full
-    `eigh`) or the iteration reaches that many products, "solver" on a
-    LinAlgError or a non-finite value.
+    of one QR of it.  A product costs in proportion to l, and the filter
+    converges in as many products at l = r + 3 as at 2r + 5.  Returns
+    ((w, v), (iters, products)), w nonincreasing, once every kept pair
+    meets `_EIG_TOL`.  Returns (None, reason) when the full route
+    (`_full_eigh`) is the better choice: "wide_block" when 8 (2r + 5) >= k
+    (a rank that wide against g, like rank selection's k_max, mostly ends
+    inside the noise bulk, where the first Ritz step only declines),
+    "slow_gap" when the first Ritz ratio theta_l / theta_r predicts more
+    than 2k / l plain products (about the cost of the full route) or the
+    iteration reaches that many products, "solver" on a LinAlgError or a
+    non-finite value.
     """
     k = g.shape[0]
-    width = 2 * r + 5
-    if 8 * width >= k:
+    if 8 * (2 * r + 5) >= k:
         return None, "wide_block"
+    width = r + 3
     cap = 2 * k // width
     omega = RngStream(0, ("gram_eig",)).generator().standard_normal((k, width))
     try:
@@ -359,20 +368,73 @@ def _subspace_eigh(g, r):
         return None, "solver"
 
 
+@functools.cache
+def _load_syevr():
+    """LAPACKE's `dsyevr` from the LAPACK that numpy links, or None.
+
+    Bound, once, only when numpy reports scipy-openblas built with 64-bit
+    integers (`USE64BITINT`) and `scipy_LAPACKE_dsyevr64_` resolves through
+    numpy's own linalg extension.  The call then runs in numpy's library
+    and BLAS thread pool; no second BLAS is loaded (scipy's would bring its
+    own thread pool).  Other numpy builds get None, and `_full_eigh` runs
+    numpy's full `eigh`.
+    """
+    lapack = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("lapack", {})
+    if (lapack.get("name") != "scipy-openblas"
+            or "USE64BITINT" not in str(lapack.get("openblas configuration", ""))):
+        return None
+    try:
+        syevr = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
+    except (AttributeError, OSError):
+        return None
+    i64, real = ctypes.c_int64, ctypes.c_double
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    # (layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz)
+    syevr.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, i64, doubles,
+                      i64, real, real, i64, i64, real, ints, doubles, doubles, i64, ints]
+    syevr.restype = i64
+    return syevr
+
+
+def _full_eigh(g, r):
+    """Top-r eigenpairs (w nonincreasing) of the symmetric k x k matrix g,
+    or None when the driver fails or gives a non-finite value, and the
+    driver's name.
+
+    "syevr": LAPACK's `dsyevr` for eigenvalues k - r + 1 .. k only, so just
+    k x r eigenvectors are formed; it overwrites g.  "syevd": numpy's full
+    `eigh`, sliced and copied, when `_load_syevr` finds no driver.
+    """
+    syevr, k = _load_syevr(), g.shape[0]
+    if syevr is None:
+        try:
+            w, v = np.linalg.eigh(g)
+        except np.linalg.LinAlgError:
+            return None, "syevd"
+        top, driver = (w[:-r - 1:-1].copy(), v[:, :-r - 1:-1].copy()), "syevd"
+    else:
+        w, z = np.empty(k), np.empty((r, k))
+        found, support = np.zeros(1, np.int64), np.empty(2 * r, np.int64)
+        # column-major, which a symmetric C-order g already is: no transposed
+        # copies; z then holds one eigenvector per row, ascending
+        info = syevr(_COL_MAJOR, b"V", b"I", b"L", k, g, k, 0.0, 0.0, k - r + 1, k, 0.0,
+                     found, w, z, k, support)
+        if info != 0 or found[0] != r:
+            return None, "syevr"
+        top, driver = (w[r - 1::-1], z[::-1].T), "syevr"
+    return (top if _all_finite(*top) else None), driver
+
+
 def _gram_top(g, r):
     """Top-r eigenpairs of the Gram matrix g, or None when both eigensolvers
-    fail or give a non-finite value, and the route taken."""
+    fail or give a non-finite value, and the route taken.  The full route
+    may overwrite g."""
     top, detail = _subspace_eigh(g, r)
     if top is not None:
         return top, "subspace iters=%d products=%d" % detail
-    try:
-        w, v = np.linalg.eigh(g)
-        top = w[::-1][:r], v[:, ::-1][:, :r]
-    except np.linalg.LinAlgError:
-        pass
-    if top is not None and not _all_finite(*top):
-        top = None
-    return top, f"full reason={detail}"
+    top, driver = _full_eigh(g, r)
+    return top, f"full reason={detail} driver={driver}"
 
 
 def _gram_factors(a, r, top, route):
@@ -398,7 +460,7 @@ def _gram_factors(a, r, top, route):
 
 def _svd_gram(a, r):
     """Top-r SVD of an array via the top eigenpairs of its short-side Gram
-    matrix, by `_subspace_eigh` or, when that declines, a full `eigh`."""
+    matrix, by `_subspace_eigh` or, when that declines, `_full_eigh`."""
     b = a.T if a.shape[0] < a.shape[1] else a
     return _gram_factors(a, r, *_gram_top(b.T @ b, r))
 
@@ -413,11 +475,10 @@ def _svd_study(study, r):
     else:
         b = study.y.T if study.shape[0] < study.shape[1] else study.y
         g = b.T @ b
+        packed = _pack_lower(g)  # before the full route overwrites g
         top, route = _gram_top(g, r)
         if top is not None:
-            # copies, so no k x k eigenvector matrix outlives this request
-            study.eigenpairs = top[0].copy(), top[1].copy()
-            study.packed_gram = _pack_lower(g)
+            study.eigenpairs, study.packed_gram = top, packed
     return _gram_factors(study.y, r, top, route) or _svd_lapack(study.y, r)
 
 
@@ -507,7 +568,8 @@ def truncated_svd(a, r) -> SvdFactors:
     request logs one `event=gram_eig` line at DEBUG with the route taken:
 
     - an array request forms that Gram matrix: `route=subspace iters=N
-      products=P`, `route=full reason=...`, or `route=lapack reason=ratio`;
+      products=P`, `route=full reason=... driver=syevr|syevd`, or
+      `route=lapack reason=ratio`;
     - a `StudyGram` request takes the array route and keeps what it formed,
       or slices the kept eigenpairs, `route=reuse` (below);
     - a stack request runs the subspace iteration below on products with
@@ -528,12 +590,17 @@ def truncated_svd(a, r) -> SvdFactors:
     Only the top r eigenpairs are computed, by seeded subspace iteration: a
     first Rayleigh-Ritz step, then Chebyshev-filtered steps on the Ritz
     block until every residual reaches roundoff, so the result never
-    depends on the run seed.  When the spectrum has too small a gap after
-    rank r for that to be cheaper, when the block of 2r + 5 columns would
-    span an eighth of the Gram matrix or more, or when the iteration fails,
-    a full `eigh` of the Gram matrix runs instead.  Against dense LAPACK
-    the singular values agree within a relative 1e-12 and each factor's
-    column span within a sine of the largest principal angle of 1e-10.
+    depends on the run seed; its block has r + 3 columns.  When the
+    spectrum has too small a gap after rank r for that to be cheaper, when
+    8 (2r + 5) reaches the Gram matrix's order k (rank selection's
+    k_max = 30 at k = 200 or 500), or when the iteration fails, the full
+    route runs instead: LAPACK's `dsyevr` for the top r eigenpairs alone,
+    called in the library numpy links (`driver=syevr`), or numpy's full
+    `eigh` on numpy builds where that symbol is not found (`driver=syevd`).
+    The two drivers differ at roundoff, so draw bytes depend on the driver.
+    Against dense LAPACK the singular values agree within a relative 1e-12
+    and each factor's column span within a sine of the largest principal
+    angle of 1e-10.
 
     A `StudyGram` keeps the Gram matrix and eigenpairs that a request on it
     formed.  A later request of no higher rank slices the eigenpairs and

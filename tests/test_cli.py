@@ -424,15 +424,17 @@ class TestExitCodes:
 
     def test_svd_failure_exits_4(self, tmp_path):
         # Both LAPACK SVD drivers are patched to fail in the child process,
-        # and so is eigh, so that the Gram route declines and LAPACK runs.
+        # and so are eigh and the top-r eigensolver (a nonzero `info`), so
+        # that the Gram route declines and LAPACK runs.
         data = tmp_path / "data"
         ds, _ = generate(SimScenario(n_studies=2, n_per_study=40, p=20, k0=2, q_s=1, seed=4))
         io.write_dataset(data, ds)
         script = (
-            "import numpy, scipy.linalg\n"
+            "import numpy, scipy.linalg, blast.numerics\n"
             "def fail(*args, **kwargs):\n"
             "    raise numpy.linalg.LinAlgError('SVD did not converge')\n"
             "numpy.linalg.svd = scipy.linalg.svd = numpy.linalg.eigh = fail\n"
+            "blast.numerics._load_syevr = lambda: lambda *args: 1\n"
         ) + CLI_SCRIPT
         proc = run_cli_child(script, "fit", data, "--kmax", 5, "--nmc", 0,
                              "--out", tmp_path / "fit")

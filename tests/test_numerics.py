@@ -38,9 +38,37 @@ def broken_svd(failure):
 
 
 def failing_eigh(g):
-    """Stand-in eigh that raises, so both Gram-route eigensolvers fail and
-    every request falls through to dense LAPACK."""
+    """Stand-in eigh that raises LinAlgError."""
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def failing_syevr(failure, calls=None):
+    """Stand-in for the top-r driver that `numerics._load_syevr` binds: it
+    reports a nonzero `info` ("raise"), writes NaN eigenvalues ("nan"), or
+    finds fewer eigenvalues than asked ("short").  Records the shape of
+    each matrix it is given in `calls`."""
+
+    def syevr(layout, jobz, range_, uplo, n, a, lda, vl, vu, il, iu, abstol, found, w, z,
+              ldz, support):
+        if calls is not None:
+            calls.append(a.shape)
+        if failure == "raise":
+            return 1
+        found[0] = iu - il + (failure != "short")
+        w[:] = np.nan if failure == "nan" else 1.0
+        z[:] = 0.0
+        return 0
+
+    return syevr
+
+
+def break_eigensolvers(monkeypatch, failure):
+    """Make both Gram-route eigensolvers fail: numpy's eigh (the Ritz step,
+    and the full route on numpy builds without the top-r driver) raises, and
+    the top-r driver fails as `failing_syevr` says, so every request falls
+    through to dense LAPACK."""
+    monkeypatch.setattr(numerics.np.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(numerics, "_load_syevr", lambda: failing_syevr(failure))
 
 
 def dense_truncated_svd(monkeypatch, a, r):
@@ -105,6 +133,16 @@ class TestTruncatedSvd:
         fac2 = truncated_svd(a, 4)
         assert np.array_equal(fac.left, fac2.left)
         assert np.array_equal(fac.right, fac2.right)
+
+    def test_sign_convention_ties_go_to_the_first_index(self):
+        # columns whose largest magnitude is tied between a positive and a
+        # negative entry: the first of them decides
+        right = np.array([[0.5, -0.5, 0.6], [-0.5, 0.5, -0.8], [0.5, 0.5, 0.0], [-0.5, -0.5, 0.0]])
+        left = np.arange(6.0).reshape(2, 3)
+        got_left, got_right = numerics._apply_sign_convention(left, right)
+        flips = np.array([1.0, -1.0, -1.0])
+        assert np.array_equal(got_right, right * flips)
+        assert np.array_equal(got_left, left * flips)
 
     def test_row_permutation_covariance(self, rng):
         a = rng.standard_normal((9, 5))
@@ -184,7 +222,7 @@ class TestTruncatedSvd:
     def test_gesdd_failure_falls_back_to_gesvd(self, rng, monkeypatch, caplog, failure):
         a = rank_deficient(rng, 40, 25, 3)
         expected = truncated_svd(a, 4)
-        monkeypatch.setattr(numerics.np.linalg, "eigh", failing_eigh)
+        break_eigensolvers(monkeypatch, failure)
         monkeypatch.setattr(numerics.np.linalg, "svd", broken_svd(failure))
         with caplog.at_level(logging.WARNING, logger="blast.numerics"):
             fac = truncated_svd(a, 4)
@@ -196,14 +234,14 @@ class TestTruncatedSvd:
     @pytest.mark.parametrize("failure", ["raise", "nan"])
     def test_both_drivers_fail_raises_numerical_error(self, rng, monkeypatch, failure):
         a = rng.standard_normal((12, 7))
-        monkeypatch.setattr(numerics.np.linalg, "eigh", failing_eigh)
+        break_eigensolvers(monkeypatch, failure)
         monkeypatch.setattr(numerics.np.linalg, "svd", broken_svd("raise"))
         monkeypatch.setattr(scipy.linalg, "svd", broken_svd(failure))
         with pytest.raises(NumericalError, match=r"shape 12x7 at rank r=3") as err:
             truncated_svd(a, 3)
         assert "gesvd " + ("nonfinite" if failure == "nan" else "'SVD did not") in str(err.value)
 
-    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    @pytest.mark.parametrize("failure", ["raise", "nan", "short"])
     def test_gram_route_failure_falls_back_to_dense(self, rng, monkeypatch, caplog, failure):
         a = rng.standard_normal((200, 120))
         expected = dense_truncated_svd(monkeypatch, a, 4)
@@ -211,19 +249,20 @@ class TestTruncatedSvd:
 
         def broken_eigh(g):
             calls.append(g.shape)
-            if failure == "raise":
+            if failure != "nan":
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             w, v = np.linalg.eigvalsh(g), np.eye(g.shape[0])
             return w * np.nan, v
 
         monkeypatch.setattr(numerics.np.linalg, "eigh", broken_eigh)
+        monkeypatch.setattr(numerics, "_load_syevr", lambda: failing_syevr(failure, calls))
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
             fac = truncated_svd(a, 4)
         # the Gram route was taken: both of its eigensolvers ran and failed,
-        # the subspace iteration on its 13 x 13 Ritz matrix, then the full
-        # eigendecomposition of the 120 x 120 Gram matrix
-        assert calls == [(13, 13), (120, 120)]
-        assert "event=gram_eig k=120 r=4 route=full reason=solver" in caplog.text
+        # the subspace iteration on its 7 x 7 Ritz matrix, then the top-r
+        # driver on the 120 x 120 Gram matrix
+        assert calls == [(7, 7), (120, 120)]
+        assert "event=gram_eig k=120 r=4 route=full reason=solver driver=syevr" in caplog.text
         assert_same_factors(fac, expected)
 
     def test_subspace_iteration_matches_full_eigh(self, rng, monkeypatch, caplog):
@@ -295,6 +334,36 @@ def gram_eig_lines(caplog):
     return [r.getMessage() for r in caplog.records if "event=gram_eig" in r.getMessage()]
 
 
+class TestFullRouteDriver:
+    """The full route's eigensolver: LAPACK's top-r `dsyevr` from the
+    library numpy links, or numpy's full `eigh` where numpy has none."""
+
+    def test_syevr_is_bound_where_numpy_links_ilp64_scipy_openblas(self, rng, caplog):
+        lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+        ilp64 = (lapack["name"] == "scipy-openblas"
+                 and "USE64BITINT" in lapack.get("openblas configuration", ""))
+        assert (numerics._load_syevr() is not None) == ilp64
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            truncated_svd(rng.standard_normal((60, 40)), 10)
+        driver = "syevr" if ilp64 else "syevd"
+        assert gram_eig_lines(caplog) == [
+            f"event=gram_eig k=40 r=10 route=full reason=wide_block driver={driver}"]
+
+    @pytest.mark.parametrize("r", [30, 12])
+    def test_eigh_path_meets_the_dense_lapack_tolerance(self, rng, monkeypatch, caplog, r):
+        a = (rng.standard_normal((300, 200))
+             + 30.0 * random_orthonormal(rng, 300, 5) @ random_orthonormal(rng, 200, 5).T)
+        dense = dense_truncated_svd(monkeypatch, a, r)
+        monkeypatch.setattr(numerics, "_load_syevr", lambda: None)
+        with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
+            fac = truncated_svd(a, r)
+        assert gram_eig_lines(caplog) == [
+            f"event=gram_eig k=200 r={r} route=full reason=wide_block driver=syevd"]
+        np.testing.assert_allclose(fac.singvals, dense.singvals, rtol=1e-12, atol=0)
+        assert sine_largest_angle(fac.left, dense.left) <= 1e-10
+        assert sine_largest_angle(fac.right, dense.right) <= 1e-10
+
+
 class TestFactorizationScope:
     """What one study's factorization keeps: a `StudyGram` holds its study's
     Gram matrix and eigenpairs, and a plain array keeps nothing."""
@@ -349,11 +418,12 @@ class TestFactorizationScope:
         for y, study in zip(dataset.studies, report.studies, strict=True):
             assert study.y is y and study.dense() is y and study.shape == y.shape
             w, v = study.eigenpairs
-            # copies owning their data, not views into a k x k eigh output
-            assert w.base is None and v.base is None
             assert w.ndim == 1 and v.shape[1] == w.size <= v.shape[0]
-            # the lower triangle of the short-side Gram matrix, not the input array
             k = v.shape[0]
+            # no k x k eigenvector matrix stays behind the kept eigenpairs
+            for x in (w, v):
+                assert x.base is None or x.base.size <= k * w.size < k * k
+            # the lower triangle of the short-side Gram matrix, not the input array
             assert study.packed_gram.shape == (k * (k + 1) // 2,)
             assert study.packed_gram.base is None
             np.testing.assert_allclose(numerics._unpack_lower(study.packed_gram, k), y @ y.T,
@@ -433,22 +503,21 @@ class TestPipelineRequests:
         # the route each request shape takes at desk scale: rank selection
         # at k_max = 30 is too wide for a block, the bases at rank 9 reuse
         # its eigenpairs, the full-rank shared bases are too wide as well,
-        # the specific (r=4) factors converge by iteration on the downdated
+        # two specific (r=4) factors converge by iteration on the downdated
         # Gram matrix, and the shared (r=5) factors by iteration on the
-        # unformed stack
-        expected = {
-            (200, 30): "route=full reason=wide_block",
-            (200, 9): "route=reuse",
-            (27, 27): "route=full reason=wide_block",
-            (200, 4): "route=downdate subspace iters=",
-            (200, 5): "route=stack iters=",
-        }
-        counts = {}
-        for (a, r, _), line in zip(requests, lines):
-            key = (min(a.shape), r)
-            assert line.startswith(f"event=gram_eig k={key[0]} r={r} {expected[key]}")
-            counts[key] = counts.get(key, 0) + 1
-        assert counts == {(200, 30): 3, (200, 9): 6, (27, 27): 2, (200, 4): 3, (200, 5): 1}
+        # unformed stack.  The third study's downdated matrix has a small
+        # gap after rank 4 (lambda_7 / lambda_4 = 0.52), so the first Ritz
+        # step of a 7-column block predicts more products than the full
+        # route costs
+        full, reuse = "route=full reason=wide_block driver=", "route=reuse"
+        expected = ([(200, 30, full), (200, 9, reuse)] * 3 + [(27, 27, full)]
+                    + [(200, 9, reuse)] * 3 + [(27, 27, full)]
+                    + [(200, 4, "route=downdate subspace iters=")] * 2
+                    + [(200, 4, "route=downdate full reason=slow_gap driver="),
+                       (200, 5, "route=stack iters=")])
+        for (a, r, _), line, (k, want_r, route) in zip(requests, lines, expected, strict=True):
+            assert (min(a.shape), r) == (k, want_r)
+            assert line.startswith(f"event=gram_eig k={k} r={r} {route}")
 
     def test_matches_dense_lapack_within_tolerance(self, monkeypatch, desk_requests):
         # the documented tolerance of the Gram route against dense LAPACK:
@@ -461,9 +530,18 @@ class TestPipelineRequests:
             assert sine_largest_angle(fac.right, dense.right) <= 1e-10
 
     def test_large_p_route_table(self, monkeypatch, caplog):
-        # one route per request shape of a large-p point fit (S=5, n_s=500,
-        # p=2000), as the benchmark's large_p_point runs it
-        dataset, _ = generate(SimScenario(n_studies=5, n_per_study=500, p=2000, k0=5,
+        # as the benchmark's large_p_point runs it
+        self.assert_route_table(monkeypatch, caplog, 5, 2000, "iters=3 products=10")
+
+    def test_cli_scale_route_table(self, monkeypatch, caplog):
+        # as the benchmark's cli_roundtrip runs it
+        self.assert_route_table(monkeypatch, caplog, 3, 1000, "iters=4 products=14")
+
+    def assert_route_table(self, monkeypatch, caplog, n_studies, p, stack_detail):
+        # one route per request shape of a point fit (n_s=500), with the
+        # product counts of the subspace iteration on its block of r + 3
+        # columns
+        dataset, _ = generate(SimScenario(n_studies=n_studies, n_per_study=500, p=p, k0=5,
                                           q_s=4, loading_sd=0.5, seed=701))
         shapes = []
 
@@ -475,20 +553,23 @@ class TestPipelineRequests:
         monkeypatch.setattr(spectral, "truncated_svd", recording_svd)
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
             result = posterior.run_blast(dataset, posterior.BlastConfig(n_mc=0, seed=701))
-        assert result.dims == spectral.LatentDims(k0=5, k_s=(9,) * 5, q_s=(4,) * 5)
+        assert result.dims == spectral.LatentDims(k0=5, k_s=(9,) * n_studies,
+                                                  q_s=(4,) * n_studies)
+        shared_k = 9 * n_studies  # the full-rank shared bases
         expected = {
-            (500, 30): "route=full reason=wide_block",
+            (500, 30): "route=full reason=wide_block driver=",
             (500, 9): "route=reuse",
-            (45, 45): "route=full reason=wide_block",
-            (500, 4): "route=downdate subspace iters=",
-            (2000, 5): "route=stack iters=",
+            (shared_k, shared_k): "route=full reason=wide_block driver=",
+            (500, 4): "route=downdate subspace iters=4 products=14",
+            (p, 5): "route=stack " + stack_detail,
         }
         lines = gram_eig_lines(caplog)
-        assert len(lines) == len(shapes) == 23
+        assert len(lines) == len(shapes) == 4 * n_studies + 3
         for (k, r), line in zip(shapes, lines):
             assert line.startswith(f"event=gram_eig k={k} r={r} {expected[k, r]}")
         counts = {key: shapes.count(key) for key in expected}
-        assert counts == {(500, 30): 5, (500, 9): 10, (45, 45): 2, (500, 4): 5, (2000, 5): 1}
+        assert counts == {(500, 30): n_studies, (500, 9): 2 * n_studies,
+                          (shared_k, shared_k): 2, (500, 4): n_studies, (p, 5): 1}
 
     def test_large_p_study_matches_dense_lapack(self, monkeypatch):
         # a study matrix at the large-p shape (n_s=500, p=2000), at the
