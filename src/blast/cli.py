@@ -258,9 +258,7 @@ def cmd_ranks(args) -> int:
     cfg = build_config(args)
     dataset = io.load_dataset(args.data_dir)
     rank_cfg = RankSelectionConfig(k_max=cfg.k_max, tau=cfg.tau)
-    rr = select_dims_report(
-        dataset, rank_cfg, weighting=cfg.projection_weighting, threads=cfg.threads
-    )
+    rr = select_dims_report(dataset, rank_cfg, weighting=cfg.projection_weighting)
     report = {
         "dims": {"k0": rr.k0, "k_s": list(rr.k_hat_s), "q_s": list(rr.q_s)},
         "jic": [t.to_dict() for t in rr.traces],

@@ -17,10 +17,10 @@ out) downdates the Gram matrix that its study's `StudyGram` keeps.
 
 No public function mutates its array inputs (the full route overwrites
 only a Gram matrix formed for it), and nothing is kept between requests
-except on a `StudyGram`, which one thread at a time may use.  So every
-operation on arrays is safe to call from multiple threads.  `parallel_map`
-runs its tasks in copies of the caller's context, so a worker thread sees
-the caller's context variables, numpy's `errstate` among them.
+except on a `StudyGram`.  So every operation on arrays is safe to call from
+multiple threads.  `parallel_map` runs its tasks in copies of the caller's
+context, so a worker thread sees the caller's context variables, numpy's
+`errstate` among them.
 """
 
 import contextvars
@@ -184,7 +184,7 @@ class StudyGram:
     matrix.  A `ProjectedStudy` request downdates the packed matrix,
     releasing both.  Requests skip the finiteness scan: Y is a finite 2-D
     array, as a `MultiStudyDataset` checks its studies to be.  Y must not
-    be mutated, and one thread at a time may use the object.
+    be mutated.
     """
 
     def __init__(self, y):

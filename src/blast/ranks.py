@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSignalError, DegenerateVarianceError, DimensionError
-from .numerics import StudyGram, _as_study, parallel_map, truncated_svd
+from .numerics import StudyGram, _as_study, truncated_svd
 from .spectral import LatentDims, MultiStudyDataset, projection_weights, shared_basis
 
 logger = logging.getLogger(__name__)
@@ -206,10 +206,10 @@ class RankReport:
         return LatentDims(k0=self.k0, k_s=self.k_hat_s, q_s=self.q_s)
 
 
-def select_dims(dataset: MultiStudyDataset, cfg: RankSelectionConfig, weighting="uniform",
-                threads=1) -> LatentDims:
+def select_dims(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
+                weighting="uniform") -> LatentDims:
     """Full selection: per-study ranks, then the shared rank, then q_s."""
-    report = select_dims_report(dataset, cfg, weighting=weighting, threads=threads)
+    report = select_dims_report(dataset, cfg, weighting=weighting)
     return require_dims(report, cfg.tau)
 
 
@@ -225,24 +225,19 @@ def require_dims(report: RankReport, tau) -> LatentDims:
 
 
 def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
-                       weighting="uniform", threads=1) -> RankReport:
+                       weighting="uniform") -> RankReport:
     """Like select_dims but returns the full trace, including the k0 = 0 case."""
     weights = projection_weights(dataset, weighting)
     k_max = cfg.resolve_k_max(dataset)
     eff_cfg = RankSelectionConfig(k_max=k_max, tau=cfg.tau)
     studies = tuple(StudyGram(y) for y in dataset.studies)
-
-    def one_study(s):
-        k_hat, trace = select_study_rank(studies[s], eff_cfg)
+    k_hat_s, traces, bases = [], [], []
+    for s, study in enumerate(studies):
+        k_hat, trace = select_study_rank(study, eff_cfg)
+        k_hat_s.append(k_hat)
+        traces.append(trace)
         # a second SVD, at the chosen rank, slices the eigenpairs of the first
-        fac = truncated_svd(studies[s], k_hat)
-        return k_hat, trace, fac.right
-
-    results = parallel_map(one_study, dataset.n_studies, threads)
-    k_hat_s = [r[0] for r in results]
-    traces = [r[1] for r in results]
-    bases = [r[2] for r in results]
-    for s, k_hat in enumerate(k_hat_s):
+        bases.append(truncated_svd(study, k_hat).right)
         if k_hat == k_max:
             logger.warning("event=k_max_saturated study=%d k_hat=%d k_max=%d", s, k_hat, k_max)
 

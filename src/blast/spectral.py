@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateSignalError, DimensionError, ParameterError
 from .numerics import (ProjectedStack, ProjectedStudy, StudyGram, _as_study, _check_matrix,
-                       parallel_map, truncated_svd)
+                       truncated_svd)
 
 _RANK_TOL = 1e-12
 # the names `projection_weights` decides
@@ -267,32 +267,22 @@ def estimate_factors(
     dataset: MultiStudyDataset,
     dims: LatentDims,
     weighting="uniform",
-    threads=1,
     studies=None,
 ) -> FactorEstimates:
     """Run the full four-step factor estimator.
 
     `weighting` selects uniform projector averaging (default) or sample-size
-    weighting ("by_n").  Per-study steps may run on `threads` workers; the
-    result is identical to sequential execution.  `studies` holds the
-    `StudyGram` of each study, as `RankReport.studies`; None builds them.
+    weighting ("by_n").  `studies` holds the `StudyGram` of each study, as
+    `RankReport.studies`; None builds them.
     """
     dims.validate_for(dataset)
     weights = projection_weights(dataset, weighting)
     if studies is None:
         studies = tuple(StudyGram(y) for y in dataset.studies)
 
-    bases = parallel_map(
-        lambda s: study_right_basis(studies[s], dims.k_s[s]),
-        dataset.n_studies,
-        threads,
-    )
+    bases = [study_right_basis(study, k) for study, k in zip(studies, dims.k_s)]
     v_bar, spectrum = shared_basis(bases, dims.k0, weights=weights)
-    specific = parallel_map(
-        lambda s: specific_factors(studies[s], v_bar, dims.q_s[s]),
-        dataset.n_studies,
-        threads,
-    )
+    specific = [specific_factors(study, v_bar, q) for study, q in zip(studies, dims.q_s)]
     f_hat_s = tuple(f for f, _ in specific)
     u_perp_s = tuple(u for _, u in specific)
     m_hat, m_hat_s, yc_col_sq, yc_t_m, d_c, v_c, w_s = shared_factors(dataset, u_perp_s,

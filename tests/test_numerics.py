@@ -1,5 +1,4 @@
 import logging
-import sys
 
 import numpy as np
 import pytest
@@ -447,31 +446,6 @@ class TestFactorizationScope:
         assert kept_studies() == []
         # the eigenpairs go with the Gram matrix, as nothing later reads them
         assert all(study.eigenpairs is None for study in report.studies)
-
-    def test_worker_threads_keep_their_studies(self, rng, caplog):
-        # more workers than cores, switching often: eigenpairs lost or mixed
-        # up by a racing worker would turn a reuse line into a fresh request
-        # or change the factors
-        inputs = [self.gapped(rng, 60, 40, 4) for _ in range(24)]
-
-        def task(study):
-            truncated_svd(study, 6)
-            return truncated_svd(study, 3)
-
-        def run(threads):
-            studies = [numerics.StudyGram(a) for a in inputs]
-            return parallel_map(lambda i: task(studies[i]), len(inputs), threads)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
-                serial, threaded = run(1), run(8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert caplog.text.count("route=reuse") == 2 * len(inputs)
-        for fac, other in zip(serial, threaded, strict=True):
-            assert_same_factors(fac, other)
 
 
 @pytest.fixture

@@ -564,9 +564,6 @@ class TestSampleDraw:
                 assert np.array_equal(g1, g8)
 
     def test_byte_identical_across_threads_at_cli_scale(self):
-        # here a fresh rank-k_hat SVD would take the subspace route, so a
-        # worker thread that missed the fit's rank-k_max eigenpairs would
-        # move the last bits
         ds, _ = generate(SimScenario(n_studies=3, n_per_study=500, p=1000, k0=5, q_s=4,
                                      loading_sd=0.5, seed=101))
         r1, r2 = (run_blast(ds, BlastConfig(n_mc=5, seed=101, threads=t)) for t in (1, 2))
@@ -691,6 +688,40 @@ class TestRunBlast:
         assert len(result.draws) == 0
         assert result.report["n_mc"] == 0
 
+    @pytest.mark.parametrize("kind", ["rows", "columns", "studies"])
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_permutation_invariant(self, seed, kind):
+        # permuting each study's rows, the outcomes or the study order
+        # permutes the fit along with it, up to roundoff
+        ds, _ = generate(SimScenario(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4,
+                                     loading_sd=0.5, seed=seed))
+        rng = np.random.default_rng(seed)
+        order, cols = (0, 1, 2), np.arange(ds.p)
+        if kind == "rows":
+            studies = [y[rng.permutation(len(y))] for y in ds.studies]
+        elif kind == "columns":
+            cols = rng.permutation(ds.p)
+            studies = [y[:, cols] for y in ds.studies]
+        else:
+            order = (2, 0, 1)
+            studies = [ds.studies[s] for s in order]
+        base, moved = (run_blast(d, BlastConfig(n_mc=0, seed=1))
+                       for d in (ds, MultiStudyDataset(tuple(studies))))
+        assert moved.dims.k0 == base.dims.k0
+        assert moved.dims.k_s == tuple(base.dims.k_s[s] for s in order)
+        assert moved.dims.q_s == tuple(base.dims.q_s[s] for s in order)
+        want = [base.spec.rho_lambda, *(base.spec.rho_gamma[s] for s in order)]
+        got = [moved.spec.rho_lambda, *moved.spec.rho_gamma]
+        for a, b in zip(want, got, strict=True):
+            assert abs(a - b) <= 1e-12 * abs(a)
+        shared, specific = point_estimates(base.spec, base.dims)
+        moved_shared, moved_specific = point_estimates(moved.spec, moved.dims)
+        undo = np.ix_(np.argsort(cols), np.argsort(cols))
+        for w, g in zip([shared, *(specific[s] for s in order)],
+                        [moved_shared, *moved_specific], strict=True):
+            w, g = w.densify(), g.densify()[undo]
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e100, 2.0**332])
     def test_overflowing_scale_raises(self, scale):
@@ -785,10 +816,12 @@ from dataclasses import asdict
 from blast.evalsim import SimScenario, generate
 from blast.posterior import BlastConfig, run_blast
 out = {}
-for name, n_s, p in (("desk", 300, 200), ("cli", 500, 1000)):
-    ds, _ = generate(SimScenario(n_studies=3, n_per_study=n_s, p=p, k0=5, q_s=4,
-                                 loading_sd=0.5, seed=101))
-    result = run_blast(ds, BlastConfig(n_mc=20, seed=101))
+for name, n_studies, n_s, p, seed, n_mc in (("desk", 3, 300, 200, 101, 20),
+                                           ("cli", 3, 500, 1000, 101, 20),
+                                           ("large_p", 5, 500, 2000, 701, 0)):
+    ds, _ = generate(SimScenario(n_studies=n_studies, n_per_study=n_s, p=p, k0=5, q_s=4,
+                                 loading_sd=0.5, seed=seed))
+    result = run_blast(ds, BlastConfig(n_mc=n_mc, seed=seed))
     out[name] = {"dims": asdict(result.dims), "rho_lambda": result.spec.rho_lambda,
                  "rho_gamma": list(result.spec.rho_gamma)}
 json.dump(out, sys.stdout)
@@ -808,7 +841,7 @@ def test_blas_thread_count_keeps_dims_and_inflation():
                               text=True, env=env, timeout=300)
         assert done.returncode == 0, done.stderr
         fits.append(json.loads(done.stdout))
-    for name in ("desk", "cli"):
+    for name in ("desk", "cli", "large_p"):
         one, two = fits[0][name], fits[1][name]
         assert one["dims"] == two["dims"], name
         for a, b in zip([one["rho_lambda"], *one["rho_gamma"]],

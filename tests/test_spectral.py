@@ -290,15 +290,6 @@ class TestEstimateFactors:
             for x, y in pairs:
                 assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
 
-    def test_threads_identical(self, rng):
-        ds, _ = generate(SimScenario(n_studies=3, n_per_study=40, p=30, k0=2, q_s=2, seed=13))
-        dims = LatentDims(k0=2, k_s=(4, 4, 4), q_s=(2, 2, 2))
-        fe1 = estimate_factors(ds, dims, threads=1)
-        fe4 = estimate_factors(ds, dims, threads=4)
-        assert np.array_equal(fe1.m_hat, fe4.m_hat)
-        for s in range(3):
-            assert np.array_equal(fe1.f_hat_s[s], fe4.f_hat_s[s])
-
     def test_weighting_by_n(self, rng):
         ds, _ = generate(SimScenario(n_studies=2, n_per_study=(30, 60), p=25, k0=2,
                                      q_s=2, seed=21))
