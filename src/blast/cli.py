@@ -242,7 +242,7 @@ def _write_metrics_csv(path, reports):
     import csv
 
     per_study = ("rel_error_specific", "procrustes_shared", "procrustes_specific")
-    with Path(path).open("w", newline="") as fh:
+    with io._open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "rel_error_shared", *(f"{m}_mean" for m in per_study),
                          "coverage_shared", "coverage_specific_mean"])

@@ -397,15 +397,13 @@ def _woodbury_pieces(w, diag):
 @dataclass(frozen=True)
 class _ConditioningPlan:
     """What conditioning on one observed set of one model needs, whatever
-    the observed values: the Woodbury pieces (`core` and the scaled `w_o`,
-    or `sigma_oo` for the dense fallback) and the predictive variance."""
+    the observed values y: a row's mean is `gain @ (w_o_dinv.T @ y)`, after
+    a solve of y against `sigma_oo` on the dense fallback; `var` is the
+    predictive variance."""
 
     target_idx: np.ndarray
-    w_o: np.ndarray
-    w_t: np.ndarray
-    dinv: np.ndarray | None
-    core: np.ndarray | None
-    w_o_dinv: np.ndarray | None
+    gain: np.ndarray            # W_t C^{-1}; W_t on the dense fallback
+    w_o_dinv: np.ndarray        # D^{-1} W_o; W_o on the dense fallback
     sigma_oo: np.ndarray | None
     var: np.ndarray
 
@@ -436,14 +434,19 @@ def _conditional_plan(cov: CovarianceModel, observed_idx):
     if np.any(cov.variances()[observed_idx] <= 0.0):
         raise InvalidCovarianceError("observed-block covariance has a nonpositive diagonal")
 
-    dinv = core = w_o_dinv = sigma_oo = None
+    sigma_oo = None
     floor = 1e-12 * max(float(np.max(d_o)), float(np.max(np.sum(w_o**2, axis=1))), 1.0)
     if np.min(d_o) > floor:
+        # With C = I + W_o^T D^{-1} W_o, the Woodbury identity gives
+        # W_o^T Sigma_oo^{-1} = C^{-1} W_o^T D^{-1}, so the mean
+        # W_t W_o^T Sigma_oo^{-1} y is gain (W_o^T D^{-1} y) with gain = W_t C^{-1},
+        # and the explained variance W_t W_o^T Sigma_oo^{-1} W_o W_t^T is
+        # W_t (I - C^{-1}) W_t^T, which leaves diag(W_t C^{-1} W_t^T) + d_t:
+        # mean and variance from one solve per plan.
         dinv, core = _woodbury_pieces(w_o, d_o)
+        gain = np.linalg.solve(core, w_t.T).T
         w_o_dinv = w_o * dinv[:, None]
-        # A = W_o^T Sigma_oo^{-1} W_o via the Woodbury identity
-        b = w_o_dinv.T @ w_o
-        a = b - b @ np.linalg.solve(core, b)
+        var = np.sum(gain * w_t, axis=1) + cov.diag_add[target_idx]
     else:
         # singular diagonal: fall back to a dense solve on the observed block
         if observed_idx.size > 4096:
@@ -455,10 +458,10 @@ def _conditional_plan(cov: CovarianceModel, observed_idx):
             a = w_o.T @ np.linalg.solve(sigma_oo, w_o)
         except np.linalg.LinAlgError:
             raise InvalidCovarianceError("observed-block covariance is singular") from None
-    cross_var = np.sum((w_t @ a) * w_t, axis=1)
-    var = np.sum(w_t**2, axis=1) + cov.diag_add[target_idx] - cross_var
-    var = np.maximum(var, 0.0)
-    return _ConditioningPlan(target_idx, w_o, w_t, dinv, core, w_o_dinv, sigma_oo, var)
+        gain, w_o_dinv = w_t, w_o
+        cross_var = np.sum((w_t @ a) * w_t, axis=1)
+        var = np.sum(w_t**2, axis=1) + cov.diag_add[target_idx] - cross_var
+    return _ConditioningPlan(target_idx, gain, w_o_dinv, sigma_oo, np.maximum(var, 0.0))
 
 
 def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
@@ -469,7 +472,10 @@ def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
     are solved, where r is the total factor rank.  Everything that does not
     depend on the observed values is planned once per (model, observed set)
     and kept on the model for the next call with the same set, so the
-    model's arrays must not be changed in place after a call.
+    model's arrays must not be changed in place after a call.  The plan
+    holds the gain matrix W_t C^{-1} (C = I + W_o^T D^{-1} W_o), so a row's
+    mean takes two matrix-vector products and no solve; only the dense
+    fallback (a near-zero observed diagonal) solves per row.
     """
     observed_idx = np.asarray(observed_idx, dtype=np.intp)
     observed_vals = np.asarray(observed_vals, dtype=np.float64)
@@ -488,16 +494,12 @@ def conditional_predict(cov: CovarianceModel, observed_idx, observed_vals):
         cov._plans[key] = plan
 
     y = observed_vals
-    if plan.sigma_oo is None:
-        # Sigma_oo^{-1} y = D^{-1} y - D^{-1} W (I + W^T D^{-1} W)^{-1} W^T D^{-1} y
-        dy = plan.dinv * y
-        siy = dy - plan.w_o_dinv @ np.linalg.solve(plan.core, plan.w_o.T @ dy)
-    else:
+    if plan.sigma_oo is not None:
         try:
-            siy = np.linalg.solve(plan.sigma_oo, y)
+            y = np.linalg.solve(plan.sigma_oo, y)
         except np.linalg.LinAlgError:
             raise InvalidCovarianceError("observed-block covariance is singular") from None
-    mean = plan.w_t @ (plan.w_o.T @ siy)
+    mean = plan.gain @ (plan.w_o_dinv.T @ y)
     return mean, plan.var.copy(), plan.target_idx.copy()
 
 
@@ -532,10 +534,13 @@ def gaussian_loglik(cov: CovarianceModel, y_test) -> float:
 
 def _prediction_inputs(cov: CovarianceModel, y_test, observed_idx):
     """Test rows as a 2-D array, and the observed outcome indices (by default
-    the second half of the outcomes)."""
+    the second half of the outcomes); rows whose width is not the model's p
+    raise DimensionError."""
     y = np.asarray(y_test, dtype=np.float64)
     if y.ndim == 1:
         y = y[None, :]
+    if y.shape[1] != cov.p:
+        raise DimensionError(f"y_test has {y.shape[1]} columns, expected {cov.p}")
     if observed_idx is None:
         observed_idx = np.arange(cov.p // 2, cov.p)
     return y, np.asarray(observed_idx, dtype=np.intp)
@@ -561,11 +566,12 @@ def predictive_interval_coverage(cov: CovarianceModel, y_test, level,
     z = _central_z(level)
     hits = 0
     total = 0
+    half_width = None
     for row in y:
         mean, var, target_idx = conditional_predict(cov, observed_idx, row[observed_idx])
-        sd = np.sqrt(var)
-        truth = row[target_idx]
-        hits += int(np.sum(np.abs(truth - mean) <= z * sd))
+        if half_width is None:  # every row has the same plan, so the same var
+            half_width = z * np.sqrt(var)
+        hits += int(np.count_nonzero(np.abs(row[target_idx] - mean) <= half_width))
         total += target_idx.size
     return hits / total
 

@@ -6,10 +6,14 @@ header exactly.  A written file is byte for byte what csv.writer writes for
 rows of `repr(float(v))` strings, with \\r\\n line ends, so a read-back is
 bit-exact.  orjson formats the rows; the values it would write in another
 notation (nonzero |v| < 1e-4, and |v| >= 1e16) are written by `repr`.
-orjson also parses the rows on read, each line as a JSON array; a line of
-anything but plain numbers, commas and whitespace, or with a `-0` integer
-(whose sign JSON drops), sends the file to the csv-and-`float` reference
-parser, whose result or error is the reader's.
+The rows are written as orjson's bytes, with no text encoding on the way.
+orjson also parses the rows on read, from the file's bytes, each line as a
+JSON array whose values are packed straight into the study's float64
+array; a line of anything but plain numbers, commas and whitespace, or
+with a `-0` integer (whose sign JSON drops), sends the file to the
+csv-and-`float` reference parser, whose result or error is the reader's.
+Every dataset, fit and report file is opened through `_open`, so one that
+cannot be opened, for reading or for writing, raises DataError.
 Posterior draws go to one packed little-endian binary (magic "BLASTDRW",
 version 2) with a JSON manifest: one block per draw component, each with the
 draw axis first.  Every JSON artifact validates against a shipped schema.
@@ -21,6 +25,7 @@ import functools
 import importlib.resources
 import itertools
 import json
+import locale
 import logging
 import math
 import os
@@ -65,8 +70,9 @@ def study_csv_paths(data_dir):
 
 @contextlib.contextmanager
 def _open(path, mode="r", **kwargs):
-    """path.open as a context manager, with a missing or unreadable file
-    raised as DataError and text that does not decode raised as ParseError."""
+    """path.open as a context manager, with a file that cannot be opened
+    (missing, unreadable, unwritable, a directory) raised as DataError and
+    text that does not decode raised as ParseError."""
     try:
         fh = path.open(mode, **kwargs)
     except OSError as exc:
@@ -99,47 +105,74 @@ def read_study_csv(path):
 # Past a successful JSON parse, a line free of these holds only
 # `0-9 . e E + - ,`, space, tab, CR and LF: they open every JSON string,
 # array, object and literal (true, false, null).
-_JSON_NON_NUMBERS = '"[{tfn'
+_JSON_NON_NUMBERS = b'"[{tfn'
+
+
+def _text_mode_lines(fh):
+    """The lines of the binary file fh as a text file opened with
+    newline="" yields them: ended by \\n, \\r\\n or a lone \\r, each
+    line end kept."""
+    for chunk in fh:  # ended by its first \n, or by the end of the file
+        # a \r before the chunk's last byte, other than a final \r\n's,
+        # ends a line inside it
+        if chunk.find(b"\r", 0, len(chunk) - 1 - chunk.endswith(b"\r\n")) >= 0:
+            yield from chunk.splitlines(keepends=True)
+        else:
+            yield chunk
 
 
 def _load_study_csv(path):
     """`_parse_study_csv`'s result, each body line parsed by orjson as a
     JSON array, or None where that parser must decide.
 
-    The header goes through csv, and lines that are only a line end are
-    skipped, as csv skips them.  Every other line is declined unless it
-    holds only `0-9 . e E + - ,`, space, tab, CR and LF, has no field over
-    csv's size limit, parses as JSON to a row of the header's width, and
-    has no integer token `-0` (JSON reads it as the int 0, `float` as
-    -0.0).  On such a line each comma-separated field is one JSON number,
-    which orjson rounds to the float `float` gives.  Rows go straight into
-    a float64 array sized from the file and the first line, grown as
-    needed and trimmed at the end.  orjson is imported here, so that only
-    file I/O loads it."""
+    The file is read in binary mode, split into lines as text mode splits
+    them; the header lines are decoded as text mode decodes them (the
+    locale's encoding) and go through csv, while the body lines go to
+    orjson as bytes, which saves decoding them: a line the checks below
+    accept is ASCII.  Lines that are only a line end are skipped, as csv
+    skips them.  Every other line is declined unless it holds only
+    `0-9 . e E + - ,`, space, tab, CR and LF, has no field over csv's size
+    limit, parses as JSON to a row of the header's width, and has no
+    integer token `-0` (JSON reads it as the int 0, `float` as -0.0).  On
+    such a line each comma-separated field is one JSON number, which orjson
+    rounds to the float `float` gives.  Each row is packed by one `struct`
+    call into the bytes of w doubles and copied into a float64 array sized
+    from the file and the first line, grown as needed and trimmed at the
+    end; `struct` and numpy's item assignment convert an int or a float by
+    the same rule (the int's correctly rounded double), so the bits are the
+    same as `y[n] = row` would give, in under half of its time.  orjson is
+    imported here, so that only file I/O loads it."""
     import orjson
 
     limit = csv.field_size_limit()
-    with _open(path, newline="") as fh:
+    encoding = locale.getpreferredencoding(False)
+    with _open(path, "rb") as fh:
+        lines = _text_mode_lines(fh)
         try:
-            header = [h.strip() for h in next(csv.reader(fh))]
+            header = next(csv.reader(line.decode(encoding) for line in lines))
+            header = [h.strip() for h in header]
+            pack = struct.Struct(f"{len(header)}d").pack
             y, n = None, 0
-            for line in fh:
-                if line in ("\n", "\r\n", "\r"):
+            for line in lines:
+                if line in (b"\n", b"\r\n", b"\r"):
                     continue
-                row = orjson.loads("[" + line + "]")
+                row = orjson.loads(b"[" + line + b"]")
                 # an empty row is a line of whitespace, one field to csv
                 if not row or len(row) != len(header) or any(
                         c in line for c in _JSON_NON_NUMBERS) or (
-                        len(line) > limit and max(map(len, line.split(","))) > limit):
+                        len(line) > limit and max(map(len, line.split(b","))) > limit):
                     return None
                 if y is None:
                     size = os.fstat(fh.fileno()).st_size
-                    y = np.empty((size // len(line) + 1, len(header)))
+                    # lines vary in length by about 1%: 1/16 to spare
+                    # saves most files a copy to grow (pages never
+                    # written are never resident)
+                    y = np.empty((size // len(line) * 17 // 16 + 1, len(header)))
                 elif n == y.shape[0]:
                     # safe without refcheck: no view of y outlives its statement
                     y.resize((n + n // 2 + 1, len(header)), refcheck=False)
-                y[n] = row
-                if not y[n].all() and "-0" in map(str.strip, line.split(",")):
+                y[n] = np.frombuffer(pack(*row))
+                if not y[n].all() and b"-0" in map(bytes.strip, line.split(b",")):
                     return None
                 n += 1
         except (StopIteration, csv.Error, UnicodeDecodeError, orjson.JSONDecodeError):
@@ -229,24 +262,29 @@ def write_dataset(data_dir, dataset: MultiStudyDataset):
     repr's for 0 and for every finite |v| in [1e-4, 1e16).  Outside that
     range the two differ only in notation (orjson writes `0.00001` and
     `1e16` where repr writes `1e-05` and `1e+16`), so those values alone
-    are written by `repr`."""
+    are written by `repr`.  The header goes through the file's text layer;
+    the rows, already bytes, go straight to its binary buffer, which at
+    1 MiB takes many rows per write call (a row of p = 1000 is 20 KB, more
+    than the default buffer)."""
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     names = dataset.outcome_names or tuple(f"y{j+1}" for j in range(dataset.p))
     for s, y in enumerate(dataset.studies, start=1):
-        path = data_dir / f"study_{s}.csv"
-        with path.open("w", newline="") as fh:
+        with _open(data_dir / f"study_{s}.csv", "w", newline="", buffering=1 << 20) as fh:
             csv.writer(fh).writerow(names)
-            fh.writelines(_csv_lines(y))
+            fh.flush()
+            fh.buffer.writelines(_csv_lines(y))
 
 
 _CSV_BLOCK_ROWS = 64
 
 
 def _csv_lines(y):
-    """The \\r\\n-ended lines of y's rows, in `repr`'s notation.  The
-    range test runs on blocks of rows to keep its temporaries small; orjson
-    is imported here, so that only writing a dataset loads it."""
+    """The \\r\\n-ended lines of y's rows, in `repr`'s notation, as the
+    ASCII bytes orjson writes (nothing is decoded to text and encoded
+    again).  The range test runs on blocks of rows to keep its temporaries
+    small; orjson is imported here, so that only writing a dataset loads
+    it."""
     import orjson
 
     for start in range(0, y.shape[0], _CSV_BLOCK_ROWS):
@@ -261,18 +299,20 @@ def _csv_lines(y):
                 for j in np.flatnonzero(patch):
                     fields[j] = repr(float(row[j])).encode()
                 line = b",".join(fields)
-            yield (line + b"\r\n").decode()
+            yield line + b"\r\n"
 
 
 def write_truth(path, truth):
-    np.savez(
-        path,
-        lambda0=truth.lambda0,
-        sigma0_sq=truth.sigma0_sq,
-        **{f"gamma0_{s+1}": g for s, g in enumerate(truth.gamma0_s)},
-        **{f"m0_{s+1}": m for s, m in enumerate(truth.m0_s)},
-        **{f"f0_{s+1}": f for s, f in enumerate(truth.f0_s)},
-    )
+    """The generator truth as an npz archive at exactly `path`."""
+    with _open(Path(path), "wb") as fh:
+        np.savez(
+            fh,
+            lambda0=truth.lambda0,
+            sigma0_sq=truth.sigma0_sq,
+            **{f"gamma0_{s+1}": g for s, g in enumerate(truth.gamma0_s)},
+            **{f"m0_{s+1}": m for s, m in enumerate(truth.m0_s)},
+            **{f"f0_{s+1}": f for s, f in enumerate(truth.f0_s)},
+        )
 
 
 def _write_block(fh, arr):
@@ -302,7 +342,7 @@ def write_draws(path, draws: DrawSet, manifest_path=None):
     loadings (T x p x q_s), and the residual variances (T x p)."""
     path = Path(path)
     blocks = (draws.lambda_tilde, *draws.gamma_tilde_s, draws.sigma_tilde_sq)
-    with path.open("wb") as fh:
+    with _open(path, "wb") as fh:
         fh.write(DRAWS_MAGIC)
         fh.write(struct.pack("<IQ", DRAWS_VERSION, len(blocks)))
         for block in blocks:
@@ -380,7 +420,7 @@ def write_json(path, obj, schema=None):
         validate_json(obj, schema)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with _open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -433,7 +473,8 @@ def write_point_estimates(path, spec, dims):
     for s, (mg, model) in enumerate(zip(spec.mu_gamma_s, specific), start=1):
         arrays[f"mu_gamma_{s}"] = mg
         arrays[f"specific_diag_{s}"] = model.diag_add
-    np.savez(path, **arrays)
+    with _open(Path(path), "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def read_point_estimates(path):

@@ -507,6 +507,43 @@ class TestExitCodes:
         if case == "point_estimates_without_sigma_hat_sq":
             assert "sigma_hat_sq" in proc.stderr
 
+    @pytest.fixture(scope="class")
+    def tiny_dirs(self, tmp_path_factory):
+        """A small simulated dataset and a fit of it with draws."""
+        data = tmp_path_factory.mktemp("tiny")
+        assert run_cli("simulate", *self.TINY, "--out", data) == 0
+        assert run_cli("fit", data, "--kmax", 5, "--nmc", 5, "--out", data / "fit") == 0
+        return data, data / "fit"
+
+    TINY = ("--n-studies", 2, "--n-per-study", 40, "--p", 20, "--k0", 2, "--q-s", 1,
+            "--seed", 4)
+
+    @pytest.mark.parametrize("command,name", [
+        ("simulate", "study_1.csv"), ("simulate", "truth.npz"), ("simulate", "scenario.json"),
+        ("simulate --fit", "metrics.json"), ("simulate --fit", "metrics.csv"),
+        ("ranks", "ranks_report.json"),
+        ("fit", "point_estimates.npz"), ("fit", "draws.bin"), ("fit", "draws_manifest.json"),
+        ("fit", "timings.json"), ("fit", "fit_report.json"),
+        ("predict", "predict_report.json"),
+    ])
+    def test_output_file_that_cannot_be_opened_exits_3(self, tiny_dirs, tmp_path, command,
+                                                       name):
+        # the output directory is writable, but the file's name is taken by
+        # a directory
+        data, fit = tiny_dirs
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = {"simulate": ["simulate", *self.TINY],
+                "simulate --fit": ["simulate", *self.TINY, "--fit", "--replicates", 1,
+                                   "--kmax", 5, "--nmc", 50],
+                "ranks": ["ranks", data, "--kmax", 5],
+                "fit": ["fit", data, "--kmax", 5, "--nmc", 5],
+                "predict": ["predict", fit, "--test", data]}[command]
+        proc = run_cli_child(CLI_SCRIPT, *argv, "--out", out)
+        assert proc.returncode == 3, proc.stderr
+        assert f"event=data_error detail='{out / name}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_preset_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "huge"}))

@@ -670,8 +670,9 @@ class TestConditionalPredict:
 
 
 def per_row_predict(cov, observed_idx, y):
-    """Reference: the conditioning of one row with nothing planned ahead, as
-    `conditional_predict` computed it before plans were kept per observed set."""
+    """Reference: the conditioning of one row with nothing planned ahead,
+    in the gain form that `conditional_predict` plans (W_t C^{-1} on the
+    Woodbury route; the dense fallback as it was)."""
     p = cov.p
     mask = np.ones(p, dtype=bool)
     mask[observed_idx] = False
@@ -683,18 +684,51 @@ def per_row_predict(cov, observed_idx, y):
     floor = 1e-12 * max(float(np.max(d_o)), float(np.max(np.sum(w_o**2, axis=1))), 1.0)
     if np.min(d_o) > floor:
         dinv, core = evalsim._woodbury_pieces(w_o, d_o)
-        dy = dinv * y
-        siy = dy - (w_o * dinv[:, None]) @ np.linalg.solve(core, w_o.T @ dy)
-        b = (w_o * dinv[:, None]).T @ w_o
-        a = b - b @ np.linalg.solve(core, b)
-    else:
-        sigma_oo = w_o @ w_o.T + np.diag(d_o)
-        siy = np.linalg.solve(sigma_oo, y)
-        a = w_o.T @ np.linalg.solve(sigma_oo, w_o)
+        gain = np.linalg.solve(core, w_t.T).T
+        mean = gain @ ((w_o * dinv[:, None]).T @ y)
+        var = np.sum(gain * w_t, axis=1) + cov.diag_add[target_idx]
+        return mean, np.maximum(var, 0.0), target_idx
+    sigma_oo = w_o @ w_o.T + np.diag(d_o)
+    siy = np.linalg.solve(sigma_oo, y)
+    a = w_o.T @ np.linalg.solve(sigma_oo, w_o)
     mean = w_t @ (w_o.T @ siy)
     cross_var = np.sum((w_t @ a) * w_t, axis=1)
     var = np.sum(w_t**2, axis=1) + cov.diag_add[target_idx] - cross_var
     return mean, np.maximum(var, 0.0), target_idx
+
+
+def woodbury_solve_predict(cov, observed_idx, y):
+    """The Woodbury route as it was before the gain matrix: Sigma_oo^{-1} y
+    by one r x r solve per row, and the explained variance from
+    A = B - B C^{-1} B with B = W_o^T D^{-1} W_o."""
+    target_idx = np.setdiff1d(np.arange(cov.p), observed_idx)
+    w = cov.factors()
+    w_o, w_t = w[observed_idx], w[target_idx]
+    dinv, core = evalsim._woodbury_pieces(w_o, cov.diag_add[observed_idx])
+    dy = dinv * y
+    siy = dy - (w_o * dinv[:, None]) @ np.linalg.solve(core, w_o.T @ dy)
+    b = (w_o * dinv[:, None]).T @ w_o
+    a = b - b @ np.linalg.solve(core, b)
+    var = np.sum(w_t**2, axis=1) + cov.diag_add[target_idx] - np.sum((w_t @ a) * w_t, axis=1)
+    return w_t @ (w_o.T @ siy), np.maximum(var, 0.0)
+
+
+@pytest.fixture(scope="module")
+def cli_scale_model(tmp_path_factory):
+    """Study 1's fitted covariance, as `blast predict` rebuilds it, from a
+    point fit of the cli-scale dataset (S=3, n_s=500, p=1000, seed 101),
+    with the random-half split `blast predict --seed 101` uses and 100 of
+    the study's rows."""
+    from blast import cli, io
+
+    ds, _ = generate(SimScenario(n_studies=3, n_per_study=500, p=1000, k0=5, q_s=4,
+                                 loading_sd=0.5, seed=101))
+    result = run_blast(ds, BlastConfig(n_mc=0, seed=101))
+    fit_dir = tmp_path_factory.mktemp("cli_scale_fit")
+    io.write_point_estimates(fit_dir / "point_estimates.npz", result.spec, result.dims)
+    model = cli._load_fit_models(fit_dir)[0]
+    observed, _ = cli._resolve_split(None, model.p, 101)
+    return model, observed, ds.studies[0][:100]
 
 
 def fresh_copy(model):
@@ -733,6 +767,17 @@ class TestConditioningPlan:
         assert len(model._plans) == 1
         plan = next(iter(model._plans.values()))
         assert (plan.sigma_oo is None) == (case == "woodbury_case")
+
+    def test_gain_form_matches_woodbury_solve_at_cli_scale(self, cli_scale_model):
+        model, obs, rows = cli_scale_model
+        assert model.factors().shape == (1000, 9)
+        _, var, _ = conditional_predict(model, obs, rows[0, obs])
+        _, var_w = woodbury_solve_predict(model, obs, rows[0, obs])
+        assert np.max(np.abs(var - var_w)) <= 1e-12 * np.max(np.abs(var_w))
+        for y in rows:
+            mean, _, _ = conditional_predict(model, obs, y[obs])
+            mean_w, _ = woodbury_solve_predict(model, obs, y[obs])
+            assert np.max(np.abs(mean - mean_w)) <= 1e-12 * np.max(np.abs(mean_w))
 
     def test_plan_built_once_per_observed_set(self, monkeypatch):
         model, obs, rows = self.woodbury_case()
@@ -878,6 +923,20 @@ class TestPredictiveIntervals:
         y = np.stack([f, f], axis=1)
         cov = predictive_interval_coverage(model, y, 0.95, observed_idx=[1])
         assert cov == 1.0
+
+    @pytest.mark.parametrize("width", [8, 12])
+    @pytest.mark.parametrize("score", [
+        prediction_nmse,
+        lambda model, y: predictive_interval_coverage(model, y, 0.9),
+        gaussian_loglik,
+    ], ids=["nmse", "interval_coverage", "loglik"])
+    def test_test_width_must_be_p(self, score, width):
+        # 8 columns once raised a raw IndexError, and 12 were scored on
+        # their first 10 without a word
+        model = random_model(np.random.default_rng(12), p=10, r=2)
+        y = np.random.default_rng(13).standard_normal((20, width))
+        with pytest.raises(DimensionError, match=f"y_test has {width} columns, expected 10"):
+            score(model, y)
 
     def test_nmse_corners(self, rng):
         # no predictive signal: identity covariance scores about 1

@@ -259,6 +259,12 @@ UNUSUAL_CSVS = {
     "int_above_2_53": "a,b\n9007199254740993,-9007199254740993\n",
     "int_30_digits": "a,b\n" + "1" * 30 + ",-" + "9" * 30 + "\n",
     "int_past_u64": "a,b\n18446744073709551615,18446744073709551616\n",
+    # line ends of every kind in one file, split as text mode splits them
+    "mixed_line_ends": "a,b\r\n1,2\r3,4\n5,6\r\r\n7,8\r\r9,10",
+    "cr_in_header_line": "a,b\r1,2\r\n",
+    # ints and floats on one line, each packed by the same conversion
+    "int_float_mix": "a,b,c,d\n9007199254740993,0.1,-3,18446744073709551617\n"
+                     "-1e-320,12345678901234567891,2.5e300,7\n",
     "int_400_digits": "a,b\n" + "1" * 400 + ",2\n",
     "whitespace_only_line": "a,b\n1,2\n \t \r\n3,4\n",
     "whitespace_line_blank_header": "\n \n",
@@ -308,6 +314,7 @@ class TestStudyCsvReader:
     @pytest.mark.parametrize("name,route", [
         ("negative_zero_float", "fast"), ("exponent_spellings", "fast"),
         ("int_above_2_53", "fast"), ("int_30_digits", "fast"), ("int_past_u64", "fast"),
+        ("int_float_mix", "fast"), ("mixed_line_ends", "fast"), ("cr_in_header_line", "fast"),
         ("cr_only_ints", "fast"), ("blank_lines", "fast"), ("crlf", "fast"),
         ("negative_zero_int", "reparse"), ("cr_only_negative_zero_int", "reparse"),
         ("quoted_one_column", "reparse"), ("leading_zero", "reparse"),
