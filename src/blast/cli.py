@@ -154,21 +154,18 @@ def _jsonable(obj):
     return obj
 
 
+def _from_config(cfg: RunConfig, target, **special):
+    """The dataclass `target` built from the fields it shares by name with
+    `cfg` (lists as tuples), with `special` in place of any of them."""
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(target)
+              if f.name in _CONFIG_KEYS}
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+    return target(**{**values, **special})
+
+
 def scenario_from(cfg: RunConfig) -> SimScenario:
-    return SimScenario(
-        n_studies=cfg.n_studies,
-        n_per_study=tuple(cfg.n_per_study) if isinstance(cfg.n_per_study, list) else cfg.n_per_study,
-        p=cfg.p,
-        k0=cfg.k0 if cfg.k0 is not None else 5,
-        q_s=tuple(cfg.q_s) if isinstance(cfg.q_s, list) else cfg.q_s,
-        loading_sparsity=cfg.loading_sparsity,
-        loading_sd=cfg.loading_sd,
-        noise_var_range=tuple(cfg.noise_var_range),
-        heteroscedastic=cfg.heteroscedastic,
-        collinear=cfg.collinear,
-        confounder_sd=cfg.confounder_sd,
-        seed=cfg.seed,
-    )
+    # the generator's rank defaults to 5; a fit reads k0 only with k_s
+    return _from_config(cfg, SimScenario, k0=5 if cfg.k0 is None else cfg.k0)
 
 
 def blast_config_from(cfg: RunConfig) -> BlastConfig:
@@ -177,23 +174,7 @@ def blast_config_from(cfg: RunConfig) -> BlastConfig:
         if cfg.k0 is None:
             raise ConfigError("k_s given without k0; fixed dims need both")
         dims = LatentDims.from_ranks(cfg.k0, cfg.k_s)
-    return BlastConfig(
-        dims=dims,
-        k_max=cfg.k_max,
-        tau=cfg.tau,
-        nu0=cfg.nu0,
-        sigma0_sq=cfg.sigma0_sq,
-        tau_lambda_sq=cfg.tau_lambda_sq,
-        tau_gamma_sq=tuple(cfg.tau_gamma_sq) if isinstance(cfg.tau_gamma_sq, list) else cfg.tau_gamma_sq,
-        n_mc=cfg.n_mc,
-        seed=cfg.seed,
-        threads=cfg.threads,
-        inflation_strategy=cfg.inflation_strategy,
-        inflation_fixed=cfg.inflation_fixed,
-        gamma_inflation_source=cfg.gamma_inflation_source,
-        projection_weighting=cfg.projection_weighting,
-        center_columns=cfg.center_columns,
-    )
+    return _from_config(cfg, BlastConfig, dims=dims)
 
 
 def _out_dir(cfg, default):

@@ -509,13 +509,7 @@ def gaussian_loglik(cov: CovarianceModel, y_test) -> float:
     Uses the factorized inverse and the matrix determinant lemma; cost is
     linear in p for fixed factor rank.
     """
-    y = np.asarray(y_test, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[None, :]
-    if y.shape[1] != cov.p:
-        raise DimensionError(f"y_test has {y.shape[1]} columns, expected {cov.p}")
-    if not np.all(np.isfinite(y)):
-        raise DataError("y_test contains non-finite entries")
+    y = _prediction_inputs(cov, y_test)[0]
     w = cov.factors()
     dinv, core = _woodbury_pieces(w, cov.diag_add)
     sign, core_logdet = np.linalg.slogdet(core)
@@ -532,15 +526,20 @@ def gaussian_loglik(cov: CovarianceModel, y_test) -> float:
     return float(-0.5 * np.sum(quad) - 0.5 * n_rows * (logdet + p * np.log(2.0 * np.pi)))
 
 
-def _prediction_inputs(cov: CovarianceModel, y_test, observed_idx):
+def _prediction_inputs(cov: CovarianceModel, y_test, observed_idx=None):
     """Test rows as a 2-D array, and the observed outcome indices (by default
-    the second half of the outcomes); rows whose width is not the model's p
-    raise DimensionError."""
+    the second half of the outcomes).  Rows whose width is not the model's p
+    raise DimensionError; a block with no rows or a non-finite entry raises
+    DataError."""
     y = np.asarray(y_test, dtype=np.float64)
     if y.ndim == 1:
         y = y[None, :]
     if y.shape[1] != cov.p:
         raise DimensionError(f"y_test has {y.shape[1]} columns, expected {cov.p}")
+    if y.shape[0] == 0:
+        raise DataError("y_test has no rows")
+    if not np.all(np.isfinite(y)):
+        raise DataError("y_test contains non-finite entries")
     if observed_idx is None:
         observed_idx = np.arange(cov.p // 2, cov.p)
     return y, np.asarray(observed_idx, dtype=np.intp)

@@ -6,9 +6,14 @@ eigenpairs of its input's short-side Gram matrix; dense LAPACK runs only
 when that route declines.  Those eigenpairs come from seeded subspace
 iteration on r + 3 columns, or from LAPACK's `dsyevr` for the top r alone,
 bound through ctypes in the library numpy links (numpy's full `eigh` on
-builds without it).  An array request forms that Gram matrix.  A
-`StudyGram` (one study matrix) keeps the Gram matrix and top eigenpairs that
-its first request formed, so a later request of no higher rank slices the
+builds without it).  Each kind of request is an operator with the same
+three members: `_top(r)` gives those eigenpairs (or None), the route taken
+and the eigenvalue that the `_GRAM_MIN_RATIO` guard compares against;
+`_factors(e, s)` gives the factors from them; and `declined` names the
+route logged when the guard declines.  `truncated_svd` applies the guard,
+logs and finishes every request in one place.  A `StudyGram` (one study
+matrix, or an array request's) forms the Gram matrix and keeps it and the
+top eigenpairs, so a later request of no higher rank slices the
 eigenpairs.  Two operators are never formed unless their route declines.  A
 `ProjectedStack` (the shared-signal matrix of `spectral`) takes products
 with its Gram matrix, each reading every study once, in cache-sized row
@@ -89,6 +94,8 @@ class ProjectedStack:
     while the stack is in use.
     """
 
+    declined = "dense"
+
     def __init__(self, blocks, bases):
         self.blocks = tuple(blocks)
         self.bases = tuple(bases)
@@ -154,6 +161,19 @@ class ProjectedStack:
                 out[lo:hi] = y
         return out
 
+    def _top(self, r):
+        """Top-r eigenpairs of the short-side Gram matrix by `_subspace_eigh`
+        on products with it (`_StackGram`); the stack is never formed."""
+        top, detail = _subspace_eigh(_StackGram(self), r)
+        if top is None:
+            return None, f"dense reason={detail}", None
+        return top, "stack iters=%d products=%d" % detail, top[0][0]
+
+    def _factors(self, e, s):
+        if self.shape[0] >= self.shape[1]:
+            return self.dot(e) / s, s, e
+        return e, s, self.tdot(e) / s
+
 
 @dataclass(frozen=True)
 class _StackGram:
@@ -184,8 +204,10 @@ class StudyGram:
     matrix.  A `ProjectedStudy` request downdates the packed matrix,
     releasing both.  Requests skip the finiteness scan: Y is a finite 2-D
     array, as a `MultiStudyDataset` checks its studies to be.  Y must not
-    be mutated.
+    be mutated.  An array request is served by a transient `StudyGram`.
     """
+
+    declined = "lapack"
 
     def __init__(self, y):
         self.y = y
@@ -196,6 +218,30 @@ class StudyGram:
     def dense(self):
         return self.y
 
+    def _tall(self):
+        """Y, or Y^T when Y has fewer rows than columns."""
+        return self.y.T if self.shape[0] < self.shape[1] else self.y
+
+    def _top(self, r):
+        """The kept eigenpairs sliced when they reach rank r (`route=reuse`),
+        else the top-r eigenpairs of the Gram matrix formed here, which the
+        study then keeps with that matrix."""
+        kept = self.eigenpairs
+        if kept is not None and r <= kept[0].size:
+            top, route = (kept[0][:r], kept[1][:, :r]), "reuse"
+        else:
+            b = self._tall()
+            g = b.T @ b
+            packed = _pack_lower(g)  # before the full route overwrites g
+            top, route = _gram_top(g, r)
+            if top is not None:
+                self.eigenpairs, self.packed_gram = top, packed
+        return top, route, None if top is None else top[0][0]
+
+    def _factors(self, e, s):
+        u = (self._tall() @ e) / s
+        return (e, s, u) if self.shape[0] < self.shape[1] else (u, s, e)
+
 
 def _as_study(y, name):
     """y if it is a `StudyGram`, else one over y checked by `_check_matrix`."""
@@ -203,13 +249,16 @@ def _as_study(y, name):
 
 
 class ProjectedStudy:
-    """One study with shared directions projected out, Y (I - V V^T), never
-    formed unless its SVD declines the downdate route (`dense` forms it).
+    """One study with shared directions projected out, Y P with
+    P = I - V V^T, never formed unless its SVD declines the downdate route
+    (`dense` forms it).
 
     `study` is a `StudyGram`, whose kept Gram matrix the SVD downdates, or
     an array Y.  V (p x k) has orthonormal columns.  Neither array may be
     mutated while the operator is in use.
     """
+
+    declined = "formed"
 
     def __init__(self, study, v):
         self.source = study if isinstance(study, StudyGram) else StudyGram(study)
@@ -217,6 +266,45 @@ class ProjectedStudy:
 
     def dense(self):
         return self.y - (self.y @ self.v) @ self.v.T
+
+    def _top(self, r):
+        """Top-r eigenpairs of the Gram matrix of Y P, downdated in place from
+        the one the `StudyGram` keeps, and lambda_1 of the kept matrix.
+
+        With B = Y V, the kept matrix becomes G - B B^T when it is G = Y Y^T
+        (Y has fewer rows than columns), and P G P when it is G = Y^T Y.
+        The `StudyGram` releases its Gram matrix and eigenpairs, since the
+        downdate is their last use.  Cancellation in the downdate costs about
+        eps * lambda_1(G), which is why the ratio guard compares against
+        lambda_1(G).  Declines (`route=formed`) when no Gram matrix of Y is
+        kept or both eigensolvers fail.
+        """
+        source, v = self.source, self.v
+        packed, kept = source.packed_gram, source.eigenpairs
+        source.packed_gram = source.eigenpairs = None
+        if packed is None:
+            return None, "formed reason=no_gram", None
+        m, n = self.shape
+        g = _unpack_lower(packed, min(m, n))
+        b = self.b = self.y @ v  # B = Y V, which `_factors` reads as well
+        if m < n:
+            g -= b @ b.T
+        else:
+            gv = g @ v
+            # P G P = G - h - h^T, with h = (G V - V (V^T G V) / 2) V^T
+            h = (gv - v @ ((v.T @ gv) / 2.0)) @ v.T
+            g -= h
+            g -= h.T
+        top, route = _gram_top(g, r)
+        if top is None:
+            return None, "formed reason=solver", None
+        return top, "downdate " + route, kept[0][0]
+
+    def _factors(self, e, s):
+        y, v, b = self.y, self.v, self.b
+        if self.shape[0] < self.shape[1]:  # e holds the left singular vectors
+            return e, s, (y.T @ e - v @ (b.T @ e)) / s
+        return (y @ e - b @ (v.T @ e)) / s, s, e
 
 
 def _pack_lower(g):
@@ -437,124 +525,19 @@ def _gram_top(g, r):
     return top, f"full reason={detail} driver={driver}"
 
 
-def _gram_factors(a, r, top, route):
-    """Top-r SVD of the array a from `top`, the top-r eigenpairs of its
-    short-side Gram matrix that `route` found, or None (also when the
-    smallest is below `_GRAM_MIN_RATIO` of the largest, and the caller
-    falls back to LAPACK).  Logs one `event=gram_eig` line."""
-    m, n = a.shape
-    transposed = m < n
-    b = a.T if transposed else a  # b is tall: rows >= cols
-    if top is not None and top[0][-1] <= _GRAM_MIN_RATIO * top[0][0]:
-        top, route = None, "lapack reason=ratio"
-    logger.debug("event=gram_eig k=%d r=%d route=%s", b.shape[1], r, route)
-    if top is None:
-        return None
-    w, v = top
-    s = np.sqrt(np.maximum(w, 0.0))
-    u = (b @ v) / s
-    if transposed:
-        return v, s, u
-    return u, s, v
-
-
-def _svd_gram(a, r):
-    """Top-r SVD of an array via the top eigenpairs of its short-side Gram
-    matrix, by `_subspace_eigh` or, when that declines, `_full_eigh`."""
-    b = a.T if a.shape[0] < a.shape[1] else a
-    return _gram_factors(a, r, *_gram_top(b.T @ b, r))
-
-
-def _svd_study(study, r):
-    """Top-r SVD of a `StudyGram`: its kept eigenpairs sliced when they reach
-    rank r (`route=reuse`), else the array route, whose Gram matrix and
-    eigenpairs the study then keeps; dense LAPACK when that declines."""
-    kept = study.eigenpairs
-    if kept is not None and r <= kept[0].size:
-        top, route = (kept[0][:r], kept[1][:, :r]), "reuse"
-    else:
-        b = study.y.T if study.shape[0] < study.shape[1] else study.y
-        g = b.T @ b
-        packed = _pack_lower(g)  # before the full route overwrites g
-        top, route = _gram_top(g, r)
-        if top is not None:
-            study.eigenpairs, study.packed_gram = top, packed
-    return _gram_factors(study.y, r, top, route) or _svd_lapack(study.y, r)
-
-
-def _svd_downdate(study, r):
-    """Top-r SVD of a ProjectedStudy Y P, P = I - V V^T, from the Gram
-    matrix of Y that its `StudyGram` keeps, downdated in place.
-
-    With B = Y V, the kept matrix becomes G - B B^T when it is G = Y Y^T
-    (Y has fewer rows than columns), and P G P when it is G = Y^T Y: the
-    Gram matrix of Y P either way.  Its top r eigenpairs come from
-    `_gram_top`, and the other factor from one thin product with Y.  The
-    `StudyGram` releases its Gram matrix and eigenpairs, since the downdate
-    is their last use; the matrix is unpacked once and downdated in place.
-    Cancellation in the downdate costs about eps * lambda_1(G), so the
-    route declines when lambda_r of the downdated matrix is at most
-    `_GRAM_MIN_RATIO` * lambda_1(G); it also declines when no Gram matrix
-    of Y is kept or both eigensolvers fail.  Returns None when it
-    declines, and the caller forms Y P.  Logs one
-    `event=gram_eig` line: `route=downdate ...` with the eigensolver's
-    route, or `route=formed reason=ratio|no_gram|solver`.
-    """
-    y, v, source = study.y, study.v, study.source
-    m, n = y.shape
-    packed, kept = source.packed_gram, source.eigenpairs
-    source.packed_gram = source.eigenpairs = None
-    top, route = None, "formed reason=no_gram"
-    if packed is not None:
-        g, lam_1 = _unpack_lower(packed, min(m, n)), kept[0][0]
-        b = y @ v
-        if m < n:
-            g -= b @ b.T
-        else:
-            gv = g @ v
-            # P G P = G - h - h^T, with h = (G V - V (V^T G V) / 2) V^T
-            h = (gv - v @ ((v.T @ gv) / 2.0)) @ v.T
-            g -= h
-            g -= h.T
-        top, route = _gram_top(g, r)
-        if top is None:
-            route = "formed reason=solver"
-        elif top[0][-1] <= _GRAM_MIN_RATIO * lam_1:
-            top, route = None, "formed reason=ratio"
-        else:
-            route = "downdate " + route
-    logger.debug("event=gram_eig k=%d r=%d route=%s", min(m, n), r, route)
+def _operator_svd(op, r):
+    """Top-r (left, s, right) of the request `op` from the top eigenpairs of
+    its short-side Gram matrix, or None when `op._top` finds none or their
+    smallest is at most `_GRAM_MIN_RATIO` of the eigenvalue it names
+    (`route=<op.declined> reason=ratio`).  Logs one `event=gram_eig` line."""
+    top, route, ref = op._top(r)
+    if top is not None and top[0][-1] <= _GRAM_MIN_RATIO * ref:
+        top, route = None, op.declined + " reason=ratio"
+    logger.debug("event=gram_eig k=%d r=%d route=%s", min(op.shape), r, route)
     if top is None:
         return None
     w, e = top
-    s = np.sqrt(np.maximum(w, 0.0))
-    if m < n:  # e holds the left singular vectors
-        return e, s, (y.T @ e - v @ (b.T @ e)) / s
-    return (y @ e - b @ (v.T @ e)) / s, s, e
-
-
-def _svd_stack(stack, r):
-    """Top-r SVD of a ProjectedStack from products with its Gram matrix.
-
-    Returns None when `_subspace_eigh` declines or the smallest requested
-    component is below `_GRAM_MIN_RATIO` of the largest, in which case the
-    caller forms the stack and takes the array route.  Logs one
-    `event=gram_eig` line with the route taken.
-    """
-    m, n = stack.shape
-    top, detail = _subspace_eigh(_StackGram(stack), r)
-    if top is not None and top[0][-1] <= _GRAM_MIN_RATIO * top[0][0]:
-        top, detail = None, "ratio"
-    if top is None:
-        logger.debug("event=gram_eig k=%d r=%d route=dense reason=%s", min(m, n), r, detail)
-        return None
-    logger.debug("event=gram_eig k=%d r=%d route=stack iters=%d products=%d",
-                 min(m, n), r, *detail)
-    w, v = top
-    s = np.sqrt(np.maximum(w, 0.0))
-    if m >= n:
-        return stack.dot(v) / s, s, v
-    return v, s, stack.tdot(v) / s
+    return op._factors(e, np.sqrt(np.maximum(w, 0.0)))
 
 
 def truncated_svd(a, r) -> SvdFactors:
@@ -564,8 +547,11 @@ def truncated_svd(a, r) -> SvdFactors:
     `ProjectedStudy`.  The reconstruction left @ diag(singvals) @ right.T
     is the best rank-r approximation of `a` in Frobenius norm.  Every
     request takes one route: the top eigenpairs of the short-side Gram
-    matrix, so no factor larger than the input is ever formed.  Each
-    request logs one `event=gram_eig` line at DEBUG with the route taken:
+    matrix, so no factor larger than the input is ever formed.  Each kind
+    of request gives those eigenpairs (`_top`) and the other factor from
+    them (`_factors`), and an array request is served by a transient
+    `StudyGram`.  Each request logs one `event=gram_eig` line at DEBUG with
+    the route taken:
 
     - an array request forms that Gram matrix: `route=subspace iters=N
       products=P`, `route=full reason=... driver=syevr|syevd`, or
@@ -579,13 +565,15 @@ def truncated_svd(a, r) -> SvdFactors:
       is `dot` after `tdot`;
     - a `ProjectedStudy` request downdates the Gram matrix that an earlier
       request on its `StudyGram` formed, `route=downdate subspace ...` or
-      `route=downdate full ...` (see `_svd_downdate`).
+      `route=downdate full ...` (see `ProjectedStudy._top`).
 
-    When an operator's route declines (for any reason below, the
-    `_GRAM_MIN_RATIO` guard, or no kept Gram matrix), it logs
-    `route=dense reason=...` (stack) or `route=formed reason=...` (study),
-    the operator is formed once, and the request goes on as an array
-    request.
+    A request declines when its eigenpairs cannot be found, or when the
+    smallest is at most `_GRAM_MIN_RATIO` of the largest (for a
+    `ProjectedStudy`, of the largest of the Gram matrix it downdates).  An
+    operator that declines (for any reason below, that guard, or no kept
+    Gram matrix) logs `route=dense reason=...` (stack) or
+    `route=formed reason=...` (study), is formed once, and the request goes
+    on as an array request.
 
     Only the top r eigenpairs are computed, by seeded subspace iteration: a
     first Rayleigh-Ritz step, then Chebyshev-filtered steps on the Ritz
@@ -616,28 +604,19 @@ def truncated_svd(a, r) -> SvdFactors:
     `gesvd`, logged as `event=svd_fallback`.  Raises NumericalError, naming
     the shape and rank, when the retry fails as well.
     """
-    operator = isinstance(a, (ProjectedStack, ProjectedStudy))
-    if not operator and not isinstance(a, StudyGram):
-        a = _check_matrix(a)
-    m, n = a.shape
-    small = min(m, n)
+    if not hasattr(a, "_top"):
+        a = StudyGram(_check_matrix(a))  # dies with this request
+    small = min(a.shape)
     r = int(r)
     if not 1 <= r <= small:
         raise DimensionError(f"rank r={r} outside [1, {small}] for shape {a.shape}")
 
-    out = None
-    if isinstance(a, StudyGram):
-        out = _svd_study(a, r)
-    elif isinstance(a, ProjectedStack):
-        out = _svd_stack(a, r)
-    elif operator:
-        out = _svd_downdate(a, r)
+    out = _operator_svd(a, r)
+    if out is None and a.declined != "lapack":
+        a = StudyGram(a.dense())  # formed once; dies with this request
+        out = _operator_svd(a, r)
     if out is None:
-        if operator:
-            a = a.dense()  # dies with this request
-        out = _svd_gram(a, r)
-    if out is None:
-        out = _svd_lapack(a, r)
+        out = _svd_lapack(a.y, r)
     left, s, right = out
     left, right = _apply_sign_convention(left, right)
     return SvdFactors(left=left, singvals=s, right=right)

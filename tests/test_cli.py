@@ -15,6 +15,7 @@ import blast
 from blast import cli, io
 from blast.cli import RunConfig, build_config, build_parser, main
 from blast.evalsim import SimScenario, generate
+from blast.posterior import BlastConfig
 from blast.spectral import MultiStudyDataset
 
 
@@ -360,6 +361,18 @@ class TestConfigHandling:
     def test_every_field_has_a_sample(self):
         assert set(FLAG_SAMPLES) == {f.name for f in dataclasses.fields(RunConfig)}
 
+    @pytest.mark.parametrize("build, name", [
+        (build, f.name) for build, target in ((cli.scenario_from, SimScenario),
+                                              (cli.blast_config_from, BlastConfig))
+        for f in dataclasses.fields(target) if f.name in FLAG_SAMPLES
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_flag_reaches_the_built_config(self, build, name):
+        # the field the flag names changes, to the flag's value, and no other
+        argv, expected = FLAG_SAMPLES[name]
+        built = build(build_config(build_parser().parse_args(["fit", "ignored", *argv])))
+        want = tuple(expected) if isinstance(expected, list) else expected
+        assert built == dataclasses.replace(build(RunConfig()), **{name: want})
+
     @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
     def test_flag_parses_to_annotated_type(self, field):
         argv, expected = FLAG_SAMPLES[field.name]
@@ -464,6 +477,7 @@ class TestExitCodes:
         ("non_utf8_test_file", 3),
         ("non_utf8_split_file", 3),
         ("non_utf8_fit_config", 3),
+        ("nan_test_row", 3),
     ])
     def test_predict_bad_input(self, sim_dir, point_fit_dir, tmp_path, case, code):
         fit_dir = point_fit_dir
@@ -480,6 +494,11 @@ class TestExitCodes:
         elif case == "truncated_point_estimates":
             (bad / good.name).write_bytes(good.read_bytes()[:500])
             fit_dir = bad
+        elif case == "nan_test_row":
+            rows = test_file.read_text().splitlines(keepends=True)
+            rows[1] = "nan," + rows[1].split(",", 1)[1]
+            test_file = tmp_path / "study_1.csv"
+            test_file.write_text("".join(rows))
         elif case == "point_estimates_without_sigma_hat_sq":
             with np.load(good) as z:
                 arrays = {k: z[k] for k in z.files if k != "sigma_hat_sq"}
@@ -506,6 +525,8 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         if case == "point_estimates_without_sigma_hat_sq":
             assert "sigma_hat_sq" in proc.stderr
+        if case == "nan_test_row":
+            assert "y_test contains non-finite entries" in proc.stderr
 
     @pytest.fixture(scope="class")
     def tiny_dirs(self, tmp_path_factory):

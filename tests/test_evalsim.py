@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from blast import evalsim
 from blast.errors import (
+    DataError,
     DimensionError,
     InvalidCovarianceError,
     ParameterError,
@@ -843,6 +844,14 @@ class TestConditioningPlan:
         assert not bad._plans
 
 
+# the three scores of `blast predict`, over one model and one test block
+EVERY_SCORE = pytest.mark.parametrize("score", [
+    prediction_nmse,
+    lambda model, y: predictive_interval_coverage(model, y, 0.9),
+    gaussian_loglik,
+], ids=["nmse", "interval_coverage", "loglik"])
+
+
 class TestGaussianLoglik:
     def test_scalar_standard_normal(self):
         model = diag_model(np.ones(1))
@@ -925,11 +934,7 @@ class TestPredictiveIntervals:
         assert cov == 1.0
 
     @pytest.mark.parametrize("width", [8, 12])
-    @pytest.mark.parametrize("score", [
-        prediction_nmse,
-        lambda model, y: predictive_interval_coverage(model, y, 0.9),
-        gaussian_loglik,
-    ], ids=["nmse", "interval_coverage", "loglik"])
+    @EVERY_SCORE
     def test_test_width_must_be_p(self, score, width):
         # 8 columns once raised a raw IndexError, and 12 were scored on
         # their first 10 without a word
@@ -937,6 +942,18 @@ class TestPredictiveIntervals:
         y = np.random.default_rng(13).standard_normal((20, width))
         with pytest.raises(DimensionError, match=f"y_test has {width} columns, expected 10"):
             score(model, y)
+
+    @pytest.mark.parametrize("block, message", [
+        (np.zeros((0, 10)), "y_test has no rows"),
+        (np.vstack([np.ones((3, 10)), np.full((1, 10), np.nan)]), "non-finite entries"),
+    ], ids=["no_rows", "nan_row"])
+    @EVERY_SCORE
+    def test_empty_or_nonfinite_block_is_a_data_error(self, score, block, message):
+        # no rows once raised a raw ValueError (nmse) or ZeroDivisionError
+        # (interval coverage), and a NaN row gave an nmse of NaN
+        model = random_model(np.random.default_rng(12), p=10, r=2)
+        with pytest.raises(DataError, match=message):
+            score(model, block)
 
     def test_nmse_corners(self, rng):
         # no predictive signal: identity covariance scores about 1

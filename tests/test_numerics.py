@@ -71,9 +71,10 @@ def break_eigensolvers(monkeypatch, failure):
 
 
 def dense_truncated_svd(monkeypatch, a, r):
-    """truncated_svd forced onto the dense LAPACK route."""
+    """truncated_svd forced onto the dense LAPACK route: every Gram route
+    declines."""
     with monkeypatch.context() as m:
-        m.setattr(numerics, "_svd_gram", lambda *args: None)
+        m.setattr(numerics, "_operator_svd", lambda *args: None)
         return truncated_svd(a, r)
 
 
@@ -178,12 +179,16 @@ class TestTruncatedSvd:
         assert np.array_equal(fac.singvals, numerics._svd_lapack(a, 2)[1])
 
     def test_ratio_guard_logs_lapack_route(self, rng, caplog):
+        # an array request is served as a StudyGram's, so both decline alike
         u = random_orthonormal(rng, 300, 2)
         v = random_orthonormal(rng, 200, 2)
+        a = (u * [1.0, 1e-3]) @ v.T
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
-            truncated_svd((u * [1.0, 1e-3]) @ v.T, 2)
-        lines = [r.getMessage() for r in caplog.records if "event=gram_eig" in r.getMessage()]
-        assert lines == ["event=gram_eig k=200 r=2 route=lapack reason=ratio"]
+            fac = truncated_svd(a, 2)
+            study = truncated_svd(numerics.StudyGram(a), 2)
+        assert gram_eig_lines(caplog) == ["event=gram_eig k=200 r=2 route=lapack reason=ratio"] * 2
+        assert np.array_equal(fac.singvals, numerics._svd_lapack(a, 2)[1])
+        assert_same_factors(study, fac)
 
     def test_iterative_path_known_factorization(self, rng):
         # a large low-rank request (short side 4100, r=3) takes the Gram
@@ -576,8 +581,8 @@ class TestProjectedStack:
         stack = projected_stack(rng, *shape, q_s=4, seed=701)
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
             fac = truncated_svd(stack, 5)
-        assert gram_eig_lines(caplog)[0].startswith(
-            f"event=gram_eig k={min(stack.shape)} r=5 route=stack iters=")
+        [line] = gram_eig_lines(caplog)  # an accepted request logs one line
+        assert line.startswith(f"event=gram_eig k={min(stack.shape)} r=5 route=stack iters=")
         dense = dense_truncated_svd(monkeypatch, stack.dense(), 5)
         np.testing.assert_allclose(fac.singvals, dense.singvals, rtol=1e-12, atol=0)
         assert sine_largest_angle(fac.left, dense.left) <= 1e-10
@@ -600,7 +605,8 @@ class TestProjectedStack:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
             assert_same_factors(fac, truncated_svd(stack.dense(), r))
-        assert lines[1:] == gram_eig_lines(caplog)
+        # then the one line of the formed stack's request
+        assert len(lines) == 2 and lines[1:] == gram_eig_lines(caplog)
 
     def test_products_match_the_formed_stack(self, rng):
         stack = projected_stack(rng, 3, 40, 30, q_s=2, seed=4)
@@ -669,8 +675,10 @@ class TestProjectedStudy:
         with caplog.at_level(logging.DEBUG, logger="blast.numerics"):
             truncated_svd(kept, 30)
             fac = truncated_svd(study, 4)
-        assert gram_eig_lines(caplog)[1].startswith(
-            f"event=gram_eig k={min(shape)} r=4 route=downdate subspace iters=")
+        # one line for each accepted request
+        first, line = gram_eig_lines(caplog)
+        assert first.startswith(f"event=gram_eig k={min(shape)} r=30 route=full ")
+        assert line.startswith(f"event=gram_eig k={min(shape)} r=4 route=downdate subspace iters=")
         dense = dense_truncated_svd(monkeypatch, study.dense(), 4)
         np.testing.assert_allclose(fac.singvals, dense.singvals, rtol=1e-12, atol=0)
         assert sine_largest_angle(fac.left, dense.left) <= 1e-10
@@ -695,7 +703,8 @@ class TestProjectedStudy:
             assert lines[0] == f"event=gram_eig k=300 r=4 route=formed reason={reason}"
             caplog.clear()
             assert_same_factors(fac, truncated_svd(study.dense(), 4))
-        assert lines[1:] == gram_eig_lines(caplog)
+        # then the one line of the formed study's request
+        assert len(lines) == 2 and lines[1:] == gram_eig_lines(caplog)
         dense = dense_truncated_svd(monkeypatch, study.dense(), 4)
         np.testing.assert_allclose(fac.singvals, dense.singvals, rtol=1e-12, atol=0)
         assert sine_largest_angle(fac.left, dense.left) <= 1e-10
