@@ -227,11 +227,11 @@ def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
     upper triangle is computed, for a subset of m = `submatrix` outcomes and
     T draws, and never all at once: it is made and decided in blocks of at
     most `_BLOCK_BYTES` (512 KiB) in one reused buffer, so memory grows as
-    the m x k x (T+1) gather of the loadings plus about 0.7 MB whatever m
-    and T (2.7 MB at m = 100, T = 500, k = 5; 6.8 MB at m = 300; 8.7 MB at
-    m = 100, T = 2000), not as m^2 x T.  The truth rides along as draw T,
-    zero-padded with the draws to the wider rank, so its products come from
-    the same kernel and summation order.
+    the m x k x (T+1) gather of the loadings plus at most about 1.2 MB
+    whatever m and T (2.8 MB at m = 100, T = 500, k = 5; 7.2 MB at
+    m = 300; 8.7 MB at m = 100, T = 2000), not as m^2 x T.  The truth rides
+    along as draw T, zero-padded with the draws to the wider rank, so its
+    products come from the same kernel and summation order.
 
     The interval is np.quantile's default (linear) one, but most pairs are
     decided without it, by counting the draws below and at or below the
@@ -239,13 +239,13 @@ def coverage_eval(draws: DrawSet, truth: SimTruth, level=0.95, submatrix=100,
     bound an interval edge lies on a known side of that edge.  Only the
     remaining pairs (ties, degenerate rows, a product between the two order
     statistics of an edge), or a whole block with a non-finite or huge
-    (>= 2^1022) draw product, go through np.quantile, so the result equals
-    the all-quantile computation exactly.  Blocks are scanned for such
-    products only when the gathered loadings themselves could make one.
-    Returns
-    (coverage_shared, coverage_specific) with one specific entry per study
-    (nan when q_s = 0).  Raises DimensionError when the draws and the truth
-    disagree in p or in the number of studies.
+    (>= 2^1022) draw product, go through np.quantile, collected over blocks
+    into few calls, so the result equals the all-quantile computation
+    exactly.  Blocks are scanned for such products only when the gathered
+    loadings themselves could make one.
+    Returns (coverage_shared, coverage_specific) with one specific entry per
+    study (nan when q_s = 0).  Raises DimensionError when the draws and the
+    truth disagree in p or in the number of studies.
     """
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
@@ -300,6 +300,11 @@ def _lifted_rows(draw_rows, truth_rows, idx=None):
     return at
 
 
+def _block_pairs(m, width):
+    """Pairs per block of `_triangle_blocks` for m outcomes and width T+1."""
+    return min(max(1, _BLOCK_BYTES // (8 * width)), m * (m + 1) // 2)
+
+
 def _triangle_blocks(at):
     """Yield the upper-triangle pair products at[i] . at[j], i <= j, summed
     over the rank axis, in the pair order of np.triu_indices(m), as (n, T+1)
@@ -308,7 +313,7 @@ def _triangle_blocks(at):
     to the call and valid until the next block is requested.
     """
     m, _, width = at.shape
-    size = min(max(1, _BLOCK_BYTES // (8 * width)), m * (m + 1) // 2)
+    size = _block_pairs(m, width)
     buf = np.empty((size, width))
     n = 0
     for i in range(m):
@@ -325,6 +330,33 @@ def _triangle_blocks(at):
                 n = 0
     if n:
         yield buf[:n]
+
+
+class _EdgeRows:
+    """The pairs that the counts leave undecided, collected over blocks and
+    decided by one np.quantile call per `rows` of them.  np.quantile works
+    row by row, so batching the rows leaves every interval unchanged.
+    """
+
+    def __init__(self, rows, quantiles):
+        self.rows, self.quantiles = rows, quantiles
+        self.parts, self.held, self.covered = [], 0, 0
+
+    def add(self, prods, target):
+        if self.held + len(target) > self.rows:
+            self.flush()
+        self.parts.append((prods, target))
+        self.held += len(target)
+
+    def flush(self):
+        """Decide the rows held; returns the covered count of all rows added."""
+        if self.parts:
+            prods, target = (np.concatenate(x) if len(x) > 1 else x[0]
+                             for x in zip(*self.parts))
+            lo, hi = np.quantile(prods, self.quantiles, axis=-1, overwrite_input=True)
+            self.covered += int(np.count_nonzero((target >= lo) & (target <= hi)))
+            self.parts, self.held = [], 0
+        return self.covered
 
 
 def _pair_coverage(draw_rows, truth_rows, level, idx=None):
@@ -351,31 +383,41 @@ def _pair_coverage(draw_rows, truth_rows, level, idx=None):
     # is checked.
     bound = np.maximum(-at.min(initial=0.0), at.max(initial=0.0))
     guard = "inputs" if bound < np.sqrt(2.0**1021 / max(at.shape[1], 1)) else "blocks"
+    size = _block_pairs(at.shape[0], n_draws + 1)
+    # the rows held and their joined copy fill at most one block
+    edges = _EdgeRows(max(1, size // 2), quantiles)
+    # comparison flags, summed as bytes: far cheaper than count_nonzero by rows
+    flags = np.empty((size, n_draws), dtype=bool)
     pairs = covered_pairs = quantile_pairs = block_pairs = 0
     routes = []
     for block in _triangle_blocks(at):
+        n = block.shape[0]
         prods, target = block[:, :n_draws], block[:, n_draws]
-        block_pairs = max(block_pairs, block.shape[0])
+        block_pairs = max(block_pairs, n)
         # false for a nan or inf product too (np.max propagates nan)
         if guard == "inputs" or np.abs([prods.min(), prods.max()]).max() < 2.0**1022:
             routes.append("counts")
-            n_lt = np.count_nonzero(prods < target[:, None], axis=-1)
-            n_le = np.count_nonzero(prods <= target[:, None], axis=-1)
+            bits = flags[:n]
+            np.less(prods, target[:, None], out=bits)
+            n_lt = np.add.reduce(bits.view(np.uint8), axis=-1, dtype=np.int32)
+            np.equal(prods, target[:, None], out=bits)
+            n_le = n_lt
+            if bits.any():  # ties: count the draws equal to the target
+                n_le = n_lt + np.add.reduce(bits.view(np.uint8), axis=-1, dtype=np.int32)
             # n_lt >= a+2: x(a+1) < target, so lo <= target; n_le <= a: x(a) >
             # target, so lo > target; likewise at the upper edge with b
             covered = (n_lt >= a + 2) & (n_le <= b)
             outside = (n_le <= a) | (n_lt >= b + 2)
             edge = np.flatnonzero(~(covered | outside))
+            covered_pairs += int(np.count_nonzero(covered))
         else:
             routes.append("quantile")
-            covered = np.zeros(block.shape[0], dtype=bool)
-            edge = np.arange(block.shape[0])
+            edge = np.arange(n)
         if edge.size:
-            lo, hi = np.quantile(prods[edge], quantiles, axis=-1, overwrite_input=True)
-            covered[edge] = (target[edge] >= lo) & (target[edge] <= hi)
-        pairs += block.shape[0]
-        covered_pairs += int(np.count_nonzero(covered))
+            edges.add(prods[edge], target[edge])
+        pairs += n
         quantile_pairs += edge.size
+    covered_pairs += edges.flush()
     route = routes[0] if len(set(routes)) == 1 else "mixed"
     logger.debug("event=coverage pairs=%d blocks=%d block_pairs=%d guard=%s quantile_pairs=%d "
                  "route=%s seconds=%.6f", pairs, len(routes), block_pairs, guard,

@@ -33,6 +33,7 @@ import ctypes
 import functools
 import hashlib
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -685,6 +686,26 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = _hash_key128(self.base_seed, self.path)
         return np.random.Generator(np.random.Philox(key=key))
+
+    def thread_generator(self) -> np.random.Generator:
+        """The calling thread's one Philox generator, re-keyed to this stream.
+
+        Its variates equal those of `generator()`, but no bit generator is
+        built (which takes most of the cost of a short stream).  It is valid
+        until the thread's next call, so a caller must not hold two.
+        """
+        try:
+            rng, state = _THREAD_RNG.rng, _THREAD_RNG.state
+        except AttributeError:
+            rng = _THREAD_RNG.rng = np.random.Generator(np.random.Philox(key=0))
+            state = _THREAD_RNG.state = rng.bit_generator.state  # counter 0, no buffer
+        key = _hash_key128(self.base_seed, self.path)
+        state["state"]["key"][:] = key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64
+        rng.bit_generator.state = state
+        return rng
+
+
+_THREAD_RNG = threading.local()
 
 
 def derive_stream(base_seed, path=()) -> RngStream:

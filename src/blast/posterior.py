@@ -82,10 +82,28 @@ class PosteriorSpec:
     n: int
     n_s: tuple
     q_s: tuple
+    # draw-time cross-products of the studies' specific factors, stacked in
+    # study order over Q = sum(q_s) rows: f_hat_s^T Y_s (Q x p) and
+    # f_hat_s^T m_hat_s (Q x k0)
+    f_t_y: np.ndarray = field(repr=False)
+    f_t_m: np.ndarray = field(repr=False)
     gamma_inflation_source: str = "rho_gamma"
-    # cached cross-products for the draw-time specific-loading means
-    f_t_y_s: tuple = field(default=(), repr=False)
-    f_t_m_s: tuple = field(default=(), repr=False)
+    # derived from the fields above for `sample_draw`: gamma_n delta^2 / 2,
+    # each block's rho^2 and conditional variance scale (shared first, then
+    # one per study), and k_gamma_s repeated over each study's rows of Q
+    sig_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    sd_rho_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    sd_k: np.ndarray = field(init=False, repr=False, compare=False)
+    k_gamma_cols: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rho = (self.rho_lambda, *(self.rho_for_gamma(s) for s in range(len(self.q_s))))
+        k_gamma = np.array(self.k_gamma_s, dtype=np.float64)
+        for name, value in (("sig_scale", self.gamma_n * self.delta_sq / 2.0),
+                            ("sd_rho_sq", np.array([r**2 for r in rho])),
+                            ("sd_k", np.concatenate([[self.k_scalar], k_gamma])),
+                            ("k_gamma_cols", np.repeat(k_gamma, self.q_s))):
+            object.__setattr__(self, name, value)
 
     def rho_for_gamma(self, s):
         if self.gamma_inflation_source == "rho_lambda":
@@ -421,9 +439,10 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
         n=fe.n_total,
         n_s=dataset.n_s,
         q_s=dims.q_s,
+        # in column order, so that the sampler reads its transpose contiguously
+        f_t_y=np.asfortranarray(np.vstack(f_t_y)),
+        f_t_m=np.vstack(f_t_m),
         gamma_inflation_source=gamma_inflation_source,
-        f_t_y_s=tuple(f_t_y),
-        f_t_m_s=tuple(f_t_m),
     )
 
 
@@ -431,32 +450,40 @@ def sample_draw(spec: PosteriorSpec, stream: RngStream, out=None) -> PosteriorDr
     """One joint posterior draw, all of it from one generator on `stream`.
 
     The posterior is a product over outcomes, so each block is drawn for all
-    p outcomes at once, in a fixed order: the p variances sigma^2, the p x k0
-    shared-loading normals, then each study's p x q_s specific-loading
-    normals.  The specific-loading mean is recomputed from the drawn shared
-    loadings.  The draw is written into `out`, a PosteriorDraw of
-    C-contiguous arrays (a row of a DrawSet, say), or into new arrays when
-    it is None, and returned; its bytes are the same either way.
+    p outcomes at once, in a fixed order: the p variances sigma^2 (gamma
+    variates), then in one call the p x k0 shared-loading normals followed
+    by each study's p x q_s specific-loading normals.  The standard
+    deviations of all S + 1 blocks come from one (S + 1) x p pass, and the
+    specific-loading means, recomputed from the drawn shared loadings, from
+    one product for all studies.  The draw is written into `out`, a
+    PosteriorDraw of C-contiguous arrays (a row of a DrawSet, say), or into
+    new arrays when it is None, and returned; its bytes are the same either
+    way.
     """
     p, k0 = spec.mu_lambda.shape
     if out is None:
         out = PosteriorDraw(lambda_tilde=np.empty((p, k0)),
                             gamma_tilde_s=tuple(np.empty((p, q)) for q in spec.q_s),
                             sigma_tilde_sq=np.empty(p))
-    rng = stream.generator()
-    sig = np.divide(spec.gamma_n * spec.delta_sq / 2.0,
-                    rng.standard_gamma(spec.gamma_n / 2.0, size=p), out=out.sigma_tilde_sq)
-    lam_sd = np.sqrt(sig * spec.rho_lambda**2 * spec.k_scalar)
-    lam = rng.standard_normal((p, k0), out=out.lambda_tilde)
-    lam *= lam_sd[:, None]
+    rng = stream.thread_generator()
+    sig = rng.standard_gamma(spec.gamma_n / 2.0, size=p, out=out.sigma_tilde_sq)
+    np.divide(spec.sig_scale, sig, out=sig)
+    # row c: sqrt(rho_c^2 sigma^2 k_c), multiplied in that order
+    sd = np.multiply.outer(spec.sd_rho_sq, sig)
+    sd *= spec.sd_k[:, None]
+    np.sqrt(sd, out=sd)
+    z = rng.standard_normal(p * (k0 + spec.f_t_m.shape[0]))
+    lam = np.multiply(z[:p * k0].reshape(p, k0), sd[0, :, None], out=out.lambda_tilde)
     lam += spec.mu_lambda
-    for s, gam in enumerate(out.gamma_tilde_s):
-        k_g = spec.k_gamma_s[s]
-        mean = (spec.f_t_y_s[s].T - lam @ spec.f_t_m_s[s].T) * k_g
-        sd = np.sqrt(spec.rho_for_gamma(s) ** 2 * sig * k_g)
-        rng.standard_normal(gam.shape, out=gam)
-        gam *= sd[:, None]
-        gam += mean
+    mean = lam @ spec.f_t_m.T  # p x Q, study s in its q_s columns
+    np.subtract(spec.f_t_y.T, mean, out=mean)
+    mean *= spec.k_gamma_cols
+    col = 0
+    for s, gam in enumerate(out.gamma_tilde_s, start=1):
+        q, at = gam.shape[1], p * (k0 + col)
+        np.multiply(z[at:at + p * q].reshape(p, q), sd[s, :, None], out=gam)
+        gam += mean[:, col:col + q]
+        col += q
     return out
 
 

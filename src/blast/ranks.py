@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSignalError, DegenerateVarianceError, DimensionError
+from .errors import (
+    DegenerateSignalError,
+    DegenerateVarianceError,
+    DimensionError,
+    ParameterError,
+)
 from .numerics import StudyGram, _as_study, truncated_svd
 from .spectral import LatentDims, MultiStudyDataset, projection_weights, shared_basis
 
@@ -226,8 +231,23 @@ def require_dims(report: RankReport, tau) -> LatentDims:
 
 def select_dims_report(dataset: MultiStudyDataset, cfg: RankSelectionConfig,
                        weighting="uniform") -> RankReport:
-    """Like select_dims but returns the full trace, including the k0 = 0 case."""
+    """Like select_dims but returns the full trace, including the k0 = 0 case.
+
+    Raises ParameterError when, among two or more studies, a projector
+    weight reaches 1 - tau, as `by_n` weights do for a study with that share
+    of the rows: each of the study's own directions then has a projector
+    singular value of at least its weight, so all of them would pass as
+    shared.  (A single study has weight 1 under either rule, and all of its
+    directions are shared by definition.)
+    """
     weights = projection_weights(dataset, weighting)
+    if weights is not None and len(weights) > 1 and np.max(weights) >= 1.0 - cfg.tau:
+        s = int(np.argmax(weights))
+        raise ParameterError(
+            f"{weighting} weighting gives study {s} the weight {weights[s]:.4f} >= "
+            f"1 - tau = {1.0 - cfg.tau:.4f}, so every direction of that study would pass "
+            f"the shared threshold; use uniform weighting or tau < {1.0 - weights[s]:.4f}"
+        )
     k_max = cfg.resolve_k_max(dataset)
     eff_cfg = RankSelectionConfig(k_max=k_max, tau=cfg.tau)
     studies = tuple(StudyGram(y) for y in dataset.studies)

@@ -435,6 +435,16 @@ class TestExitCodes:
         io.write_dataset(data, ds)
         assert run_cli("fit", data, "--kmax", 5, "--nmc", 0) == 4
 
+    def test_by_n_weight_past_the_threshold_exits_2(self, tmp_path, caplog):
+        data = tmp_path / "data"
+        ds, _ = generate(SimScenario(n_studies=2, n_per_study=(100, 900), p=40, k0=2, q_s=2,
+                                     loading_sd=0.5, seed=41001))
+        io.write_dataset(data, ds)
+        with caplog.at_level(logging.ERROR, logger="blast"):
+            assert run_cli("fit", data, "--projection-weighting", "by_n", "--nmc", 0,
+                           "--out", tmp_path / "fit") == 2
+        assert "weight 0.9000 >= 1 - tau = 0.8000" in caplog.text
+
     def test_svd_failure_exits_4(self, tmp_path):
         # Both LAPACK SVD drivers are patched to fail in the child process,
         # and so are eigh and the top-r eigensolver (a nonzero `info`), so

@@ -355,10 +355,12 @@ class TestTriangleBlocks:
     def test_memory_grows_linearly_in_m(self):
         # The full products array alone is 20 MB at m = 100 and 181 MB at
         # m = 300.  Past the m x K x (T+1) gather of the rows, the working
-        # set is about 0.7 MB whatever m and T (after a first call's one-time
-        # allocations).
+        # set is at most about 1.2 MB whatever m and T (after a first call's
+        # one-time allocations).
         g = np.random.default_rng(8)
         evalsim._pair_coverage(g.standard_normal((50, 3, 2)), g.standard_normal((3, 2)), 0.95)
+        # all ties, so np.quantile runs: its first call imports numpy.ma
+        evalsim._pair_coverage(np.zeros((50, 3, 2)), np.zeros((3, 2)), 0.95)
         for m, t in ((100, 500), (300, 500), (100, 2000)):
             draw_rows = g.standard_normal((t, m, 5))
             truth_rows = g.standard_normal((m, 5))

@@ -450,8 +450,8 @@ def synthetic_spec(p=3, k0=2, n=50.0, rho_lambda=1.0, delta=1.0, mu_scale=1.0,
         n=int(n),
         n_s=tuple(int(n) for _ in q_s) or (int(n),),
         q_s=tuple(q_s),
-        f_t_y_s=tuple(np.zeros((q, p)) for q in q_s),
-        f_t_m_s=tuple(np.zeros((q, k0)) for q in q_s),
+        f_t_y=np.zeros((sum(q_s), p)),
+        f_t_m=np.zeros((sum(q_s), k0)),
     )
 
 
@@ -513,9 +513,8 @@ class TestSampleDraw:
         # non-zero factor cross-product: the drawn loading shifts the mean
         p, k0, q = 2, 1, 1
         spec = synthetic_spec(p=p, k0=k0, n=1e8, q_s=(q,), rho_gamma=(1.0,), seed=1)
-        f_t_m = (np.full((q, k0), 5.0),)
-        spec = replace(spec, f_t_m_s=f_t_m, k_gamma_s=(1.0 / 100.0,),
-                       f_t_y_s=(np.zeros((q, p)),),
+        spec = replace(spec, f_t_m=np.full((q, k0), 5.0), k_gamma_s=(1.0 / 100.0,),
+                       f_t_y=np.zeros((q, p)),
                        delta_sq=np.full(p, 1e-12))  # keep the draw noise negligible
         d = sample_draw(spec, derive_stream(2, ("draw", 0)))
         expected = -(5.0 * d.lambda_tilde[:, 0]) / 100.0
@@ -526,7 +525,7 @@ class TestSampleDraw:
         spec = synthetic_spec(p=p, k0=k0, n=50.0, delta=2.0, q_s=(0, 2),
                               rho_gamma=(1.0, 1.7), seed=5)
         f_t_y = np.random.default_rng(8).standard_normal((2, p))
-        spec = replace(spec, f_t_y_s=(np.zeros((0, p)), f_t_y))
+        spec = replace(spec, f_t_y=f_t_y)  # study 0 has no rows of it
         root = derive_stream(31, ("draw",))
         t_draws = 10_000
         gams = np.empty((t_draws, p, 2))
@@ -616,6 +615,65 @@ class TestSampleDraw:
         assert not rows.lambda_tilde[0].any() and not rows.sigma_tilde_sq[0].any()
 
 
+def reference_draw(spec, stream):
+    """The sampler as plain per-draw code: a fresh generator, then sigma^2,
+    the shared loadings and each study in turn, each study's mean from its
+    own rows of the stacked cross-products.  Returns (sigma^2, lambda,
+    [gamma_s])."""
+    p, k0 = spec.mu_lambda.shape
+    rng = stream.generator()
+    sig = spec.gamma_n * spec.delta_sq / 2.0 / rng.standard_gamma(spec.gamma_n / 2.0, size=p)
+    lam = rng.standard_normal((p, k0))
+    lam *= np.sqrt(sig * spec.rho_lambda**2 * spec.k_scalar)[:, None]
+    lam += spec.mu_lambda
+    gams, row = [], 0
+    for s, q in enumerate(spec.q_s):
+        f_t_y, f_t_m = spec.f_t_y[row:row + q], spec.f_t_m[row:row + q]
+        row += q
+        k_g = spec.k_gamma_s[s]
+        mean = (f_t_y.T - lam @ f_t_m.T) * k_g
+        gam = rng.standard_normal((p, q))
+        gam *= np.sqrt(spec.rho_for_gamma(s) ** 2 * sig * k_g)[:, None]
+        gams.append(gam + mean)
+    return sig, lam, gams
+
+
+REFERENCE_CASES = {
+    # name: (scenario, fixed dims or None, n_mc, gamma_inflation_source)
+    "desk": (dict(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4, loading_sd=0.5, seed=101),
+             None, 500, "rho_gamma"),
+    "cli": (dict(n_studies=3, n_per_study=500, p=1000, k0=5, q_s=4, loading_sd=0.5, seed=101),
+            None, 20, "rho_gamma"),
+    "q_zero": (dict(n_studies=2, n_per_study=200, p=60, k0=3, q_s=(0, 2), loading_sd=1.0,
+                    seed=101), LatentDims(k0=3, k_s=(3, 5), q_s=(0, 2)), 60, "rho_gamma"),
+    "rho_lambda": (dict(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4, loading_sd=0.5,
+                        seed=101), None, 100, "rho_lambda"),
+}
+
+
+class TestReferenceSampler:
+    @pytest.fixture(scope="class", params=sorted(REFERENCE_CASES))
+    def case(self, request):
+        scenario, dims, n_mc, source = REFERENCE_CASES[request.param]
+        ds, _ = generate(SimScenario(**scenario))
+        return ds, dims, n_mc, source, scenario["seed"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draws_equal_the_reference_bit_for_bit(self, case, threads):
+        ds, dims, n_mc, source, seed = case
+        result = run_blast(ds, BlastConfig(dims=dims, n_mc=n_mc, seed=seed, threads=threads,
+                                           gamma_inflation_source=source))
+        assert len(result.draws) == n_mc
+        root = derive_stream(seed, ("draw",))
+        for t in range(n_mc):
+            sig, lam, gams = reference_draw(result.spec, root.child(t))
+            for got in (result.draws[t], sample_draw(result.spec, root.child(t))):
+                assert got.sigma_tilde_sq.tobytes() == sig.tobytes(), t
+                assert got.lambda_tilde.tobytes() == lam.tobytes(), t
+                for g, want in zip(got.gamma_tilde_s, gams, strict=True):
+                    assert g.shape == want.shape and g.tobytes() == want.tobytes(), t
+
+
 class TestDrawSet:
     def make(self, t=4, p=3, k0=2, q_s=(0, 2)):
         g = np.random.default_rng(0)
@@ -689,21 +747,23 @@ class TestRunBlast:
         assert result.report["n_mc"] == 0
 
     @pytest.mark.parametrize("kind", ["rows", "columns", "studies"])
-    @pytest.mark.parametrize("seed", [101, 102])
+    @pytest.mark.parametrize("seed", [101, 102, 701])
     def test_permutation_invariant(self, seed, kind):
         # permuting each study's rows, the outcomes or the study order
-        # permutes the fit along with it, up to roundoff
-        ds, _ = generate(SimScenario(n_studies=3, n_per_study=300, p=200, k0=5, q_s=4,
-                                     loading_sd=0.5, seed=seed))
+        # permutes the fit along with it, up to roundoff; seeds 101 and 102
+        # at desk scale, 701 at large p (S=5, n_s=500, p=2000)
+        design = (dict(n_studies=5, n_per_study=500, p=2000) if seed == 701 else
+                  dict(n_studies=3, n_per_study=300, p=200))
+        ds, _ = generate(SimScenario(**design, k0=5, q_s=4, loading_sd=0.5, seed=seed))
         rng = np.random.default_rng(seed)
-        order, cols = (0, 1, 2), np.arange(ds.p)
+        order, cols = tuple(range(ds.n_studies)), np.arange(ds.p)
         if kind == "rows":
             studies = [y[rng.permutation(len(y))] for y in ds.studies]
         elif kind == "columns":
             cols = rng.permutation(ds.p)
             studies = [y[:, cols] for y in ds.studies]
         else:
-            order = (2, 0, 1)
+            order = tuple(rng.permutation(ds.n_studies))
             studies = [ds.studies[s] for s in order]
         base, moved = (run_blast(d, BlastConfig(n_mc=0, seed=1))
                        for d in (ds, MultiStudyDataset(tuple(studies))))

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blast.errors import DegenerateSignalError, DegenerateVarianceError, DimensionError
+from blast.errors import (
+    DegenerateSignalError,
+    DegenerateVarianceError,
+    DimensionError,
+    ParameterError,
+)
 from blast.evalsim import SimScenario, generate
+from blast.posterior import BlastConfig, run_blast
 from blast.ranks import (
     RankSelectionConfig,
     _loglik_at_k,
@@ -274,3 +280,37 @@ class TestSelectDims:
         with pytest.raises(DimensionError, match="largest allowed value 59"):
             select_dims_report(ds, RankSelectionConfig(k_max=k_max))
         assert select_dims_report(ds, RankSelectionConfig(k_max=59)).k_max == 59
+
+
+class TestWeightByN:
+    # S=2, n_s = (100, 900): by_n gives the large study the weight 0.9, and
+    # each of its own directions has a projector singular value of at least
+    # 0.9 > 1 - tau.  Unchecked, k0 came out wrong on 8 of 8 seeds
+    # (41001-41008, p = 500), as min k_s or near it.
+    def test_weight_past_the_threshold_is_a_parameter_error(self):
+        ds, _ = generate(SimScenario(n_studies=2, n_per_study=(100, 900), p=40, k0=2,
+                                     q_s=2, loading_sd=0.5, seed=41001))
+        with pytest.raises(ParameterError, match=r"study 1 the weight 0\.9000 >= "
+                                                 r"1 - tau = 0\.8000"):
+            select_dims_report(ds, RankSelectionConfig(), weighting="by_n")
+        with pytest.raises(ParameterError, match="weight 0.9000"):
+            run_blast(ds, BlastConfig(n_mc=0, projection_weighting="by_n"))
+        # tau below 1 - 0.9 leaves the weight under the threshold
+        report = select_dims_report(ds, RankSelectionConfig(tau=0.05), weighting="by_n")
+        assert report.k0 >= 0
+        # uniform weights never reach it with two or more studies
+        assert select_dims_report(ds, RankSelectionConfig()).k0 >= 1
+
+    def test_single_study_selects_as_uniform(self):
+        ds, _ = generate(SimScenario(n_studies=1, n_per_study=200, p=100, k0=3, q_s=0,
+                                     loading_sd=1.0, seed=4))
+        by_n = select_dims(ds, RankSelectionConfig(), weighting="by_n")
+        assert by_n == select_dims(ds, RankSelectionConfig())
+        assert by_n.q_s == (0,)
+
+    def test_weight_below_the_threshold_recovers_k0(self):
+        # n_s = (300, 700): weights 0.3 and 0.7 < 0.8
+        ds, _ = generate(SimScenario(n_studies=2, n_per_study=(300, 700), p=500, k0=5,
+                                     q_s=4, loading_sd=0.5, seed=41001))
+        dims = select_dims(ds, RankSelectionConfig(), weighting="by_n")
+        assert (dims.k0, dims.q_s) == (5, (4, 4))
