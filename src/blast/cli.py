@@ -202,7 +202,7 @@ def cmd_simulate(args) -> int:
     if getattr(args, "fit", False):
         reports = run_replicates(
             scenario, blast_config_from(cfg), cfg.replicates,
-            level=cfg.level, submatrix=min(cfg.submatrix, cfg.p),
+            level=cfg.level, submatrix=cfg.submatrix,
             threads=cfg.threads,
         )
         summary = summarize_replicates(reports)
@@ -327,8 +327,8 @@ def cmd_predict(args) -> int:
         tests = list(enumerate(io.read_studies(test_path)[0], start=1))
     else:
         y, _ = io.read_study_csv(test_path)
-        study = getattr(args, "study", None) or 1
-        tests = [(int(study), y)]
+        study = getattr(args, "study", None)
+        tests = [(1 if study is None else int(study), y)]
 
     p = models[0].p
     observed, split_detail = _resolve_split(args, p, cfg.seed)

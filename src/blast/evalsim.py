@@ -570,9 +570,9 @@ def gaussian_loglik(cov: CovarianceModel, y_test) -> float:
 
 def _prediction_inputs(cov: CovarianceModel, y_test, observed_idx=None):
     """Test rows as a 2-D array, and the observed outcome indices (by default
-    the second half of the outcomes).  Rows whose width is not the model's p
-    raise DimensionError; a block with no rows or a non-finite entry raises
-    DataError."""
+    the second half of the outcomes).  Rows whose width is not the model's p,
+    or an index outside [0, p), raise DimensionError; a block with no rows or
+    a non-finite entry raises DataError."""
     y = np.asarray(y_test, dtype=np.float64)
     if y.ndim == 1:
         y = y[None, :]
@@ -583,8 +583,11 @@ def _prediction_inputs(cov: CovarianceModel, y_test, observed_idx=None):
     if not np.all(np.isfinite(y)):
         raise DataError("y_test contains non-finite entries")
     if observed_idx is None:
-        observed_idx = np.arange(cov.p // 2, cov.p)
-    return y, np.asarray(observed_idx, dtype=np.intp)
+        return y, np.arange(cov.p // 2, cov.p)
+    observed_idx = np.asarray(observed_idx, dtype=np.intp)
+    # before any row is indexed with it, so a bad index is not an IndexError
+    _check_observed_idx(observed_idx, cov.p)
+    return y, observed_idx
 
 
 def _central_z(level):
@@ -726,7 +729,7 @@ def run_replicates(scenario: SimScenario, config, replicates, seed=None,
             result,
             truth,
             level=level,
-            submatrix=min(submatrix, sc.p),
+            submatrix=submatrix,
             coverage_stream=derive_stream(base_seed + r, ("coverage",)),
         )
 

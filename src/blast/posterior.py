@@ -9,6 +9,10 @@ conditional loading variance to restore asymptotic frequentist coverage.
 The sum runs exactly over all p(p-1)/2 pairs, at every p: each block of
 rows goes through two BLAS matrix products over "lifted" per-outcome
 features, whose inner products are each pair's numerator and denominator.
+The spectral step makes each study's specific factors orthogonal to its
+shared ones (m_hat_s^T f_hat_s = 0, checked by `FactorEstimates`), so the
+specific loadings' posterior mean mu_gamma_s does not depend on the shared
+loadings, and every block of a draw is its mean plus scaled normals.
 Draw t takes all of its variates from one counter-based RNG substream keyed
 by (seed, "draw", t), so output never depends on the parallel schedule.
 """
@@ -82,27 +86,19 @@ class PosteriorSpec:
     n: int
     n_s: tuple
     q_s: tuple
-    # draw-time cross-products of the studies' specific factors, stacked in
-    # study order over Q = sum(q_s) rows: f_hat_s^T Y_s (Q x p) and
-    # f_hat_s^T m_hat_s (Q x k0)
-    f_t_y: np.ndarray = field(repr=False)
-    f_t_m: np.ndarray = field(repr=False)
     gamma_inflation_source: str = "rho_gamma"
     # derived from the fields above for `sample_draw`: gamma_n delta^2 / 2,
-    # each block's rho^2 and conditional variance scale (shared first, then
-    # one per study), and k_gamma_s repeated over each study's rows of Q
+    # and each block's rho^2 and conditional variance scale (shared first,
+    # then one per study)
     sig_scale: np.ndarray = field(init=False, repr=False, compare=False)
     sd_rho_sq: np.ndarray = field(init=False, repr=False, compare=False)
     sd_k: np.ndarray = field(init=False, repr=False, compare=False)
-    k_gamma_cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho = (self.rho_lambda, *(self.rho_for_gamma(s) for s in range(len(self.q_s))))
-        k_gamma = np.array(self.k_gamma_s, dtype=np.float64)
         for name, value in (("sig_scale", self.gamma_n * self.delta_sq / 2.0),
                             ("sd_rho_sq", np.array([r**2 for r in rho])),
-                            ("sd_k", np.concatenate([[self.k_scalar], k_gamma])),
-                            ("k_gamma_cols", np.repeat(k_gamma, self.q_s))):
+                            ("sd_k", np.array([self.k_scalar, *self.k_gamma_s], float))):
             object.__setattr__(self, name, value)
 
     def rho_for_gamma(self, s):
@@ -187,8 +183,8 @@ def estimate_hyperparams(dataset: MultiStudyDataset, fe: FactorEstimates,
 
     The shared scale balances the captured signal energy against the summed
     residual variances; study scales do the same with the specific-factor
-    energy of the data after subtracting a provisional shared fit (prior
-    scale 1), which breaks the circular dependence on tau_lambda.
+    energy of the data, sum(W_s^2) / n_s with W_s = U_s^T Y_s.  No shared
+    fit needs subtracting first: m_hat_s^T f_hat_s = 0, so U_s^T m_hat_s = 0.
     """
     n = fe.n_total
     v_j = _residual_variances(fe)
@@ -202,16 +198,12 @@ def estimate_hyperparams(dataset: MultiStudyDataset, fe: FactorEstimates,
         raise DegenerateSignalError("captured shared-signal energy is zero")
     tau_lambda_sq = theta / (dims.k0 * omega)
 
-    mu_prov = fe.yc_t_m / (n + 1.0)  # provisional fit, prior scale 1
     tau_gamma_sq = []
     for s in range(dataset.n_studies):
         if dims.q_s[s] == 0:
             tau_gamma_sq.append(None)
             continue
-        u = fe.u_perp_s[s]
-        # U_s^T (Y_s - m_hat_s mu_prov^T), without the n_s x p difference
-        coef = fe.w_s[s] - (u.T @ fe.m_hat_s[s]) @ mu_prov.T
-        theta_s = float(np.sum(coef**2) / dataset.n_s[s])
+        theta_s = float(np.sum(fe.w_s[s]**2) / dataset.n_s[s])
         tau_gamma_sq.append(theta_s / (dims.q_s[s] * omega))
     return Hyperparams(
         tau_lambda_sq=tau_lambda_sq,
@@ -277,17 +269,14 @@ def mu_gamma(y_s, m_hat_s, f_hat_s, mu_lambda, tau_gamma_sq) -> np.ndarray:
     """Posterior mean of the specific loadings for one study (p x q_s).
 
     Row j is the ridge fit of outcome j on the specific factors after
-    removing the shared-fit contribution.
+    removing the shared-fit contribution.  For factors from
+    `estimate_factors`, m_hat_s^T f_hat_s = 0 and that contribution is
+    zero, which `build_posterior_spec` relies on.
     """
     if f_hat_s.shape[1] == 0:
         return np.zeros((y_s.shape[1], 0))
-    return _mu_gamma_from_stats(f_hat_s.T @ y_s, m_hat_s, f_hat_s, mu_lambda, tau_gamma_sq)
-
-
-def _mu_gamma_from_stats(f_t_y, m_hat_s, f_hat_s, mu_lambda, tau_gamma_sq):
-    """`mu_gamma` from the cross-product f_t_y = f_hat_s^T y_s (q_s x p)."""
     denom = f_hat_s.shape[0] + 1.0 / tau_gamma_sq
-    return (f_t_y.T - mu_lambda @ (m_hat_s.T @ f_hat_s)) / denom
+    return ((f_hat_s.T @ y_s).T - mu_lambda @ (m_hat_s.T @ f_hat_s)) / denom
 
 
 def _lifted_features(g, l, v, ng, nl):
@@ -395,7 +384,12 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
                          dims: LatentDims, hp: Hyperparams,
                          inflation_strategy="mean", inflation_fixed=None,
                          gamma_inflation_source="rho_gamma") -> PosteriorSpec:
-    """Assemble all posterior parameters (steps 3-6 of the full procedure)."""
+    """Assemble all posterior parameters (steps 3-6 of the full procedure).
+
+    A study's specific mean is sqrt(n_s) W_s^T / (n_s + tau_gamma^{-2}): the
+    ridge fit of `mu_gamma`, whose shared-fit term vanishes because
+    `FactorEstimates` guarantees m_hat_s^T f_hat_s = 0.
+    """
     if gamma_inflation_source not in ("rho_gamma", "rho_lambda"):
         raise ParameterError(f"unknown gamma_inflation_source {gamma_inflation_source!r}")
     mu_l, k_scalar, gamma_n, delta_sq, v_j = fit_lambda_posterior(fe, hp)
@@ -403,28 +397,21 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
                                   fixed=inflation_fixed)
 
     mu_gamma_list, rho_gamma, k_gamma_s = [], [], []
-    f_t_y, f_t_m = [], []
-    for s in range(dataset.n_studies):
-        f_hat = fe.f_hat_s[s]
-        m_hat_s = fe.m_hat_s[s]
+    for s, n_s in enumerate(dataset.n_s):
         if dims.q_s[s] == 0:
             mu_gamma_list.append(np.zeros((dataset.p, 0)))
             rho_gamma.append(1.0)
             k_gamma_s.append(0.0)
-            f_t_y.append(np.zeros((0, dataset.p)))
-            f_t_m.append(np.zeros((0, dims.k0)))
             continue
-        tau_sq = hp.tau_gamma_sq[s]
-        f_t_y_s = np.sqrt(dataset.n_s[s]) * fe.w_s[s]  # f_hat^T Y_s
-        mg = _mu_gamma_from_stats(f_t_y_s, m_hat_s, f_hat, mu_l, tau_sq)
+        denom = n_s + 1.0 / hp.tau_gamma_sq[s]
+        # C order, so point_estimates.npz stores each mu_gamma_s as before
+        mg = np.ascontiguousarray((np.sqrt(n_s) * fe.w_s[s]).T) / denom
         mu_gamma_list.append(mg)
         rho_gamma.append(
             inflation_gamma(mg, mu_l, v_j, strategy=inflation_strategy,
                             fixed=inflation_fixed)
         )
-        k_gamma_s.append(1.0 / (dataset.n_s[s] + 1.0 / tau_sq))
-        f_t_y.append(f_t_y_s)
-        f_t_m.append(f_hat.T @ m_hat_s)
+        k_gamma_s.append(1.0 / denom)
 
     return PosteriorSpec(
         mu_lambda=mu_l,
@@ -439,9 +426,6 @@ def build_posterior_spec(dataset: MultiStudyDataset, fe: FactorEstimates,
         n=fe.n_total,
         n_s=dataset.n_s,
         q_s=dims.q_s,
-        # in column order, so that the sampler reads its transpose contiguously
-        f_t_y=np.asfortranarray(np.vstack(f_t_y)),
-        f_t_m=np.vstack(f_t_m),
         gamma_inflation_source=gamma_inflation_source,
     )
 
@@ -453,12 +437,13 @@ def sample_draw(spec: PosteriorSpec, stream: RngStream, out=None) -> PosteriorDr
     p outcomes at once, in a fixed order: the p variances sigma^2 (gamma
     variates), then in one call the p x k0 shared-loading normals followed
     by each study's p x q_s specific-loading normals.  The standard
-    deviations of all S + 1 blocks come from one (S + 1) x p pass, and the
-    specific-loading means, recomputed from the drawn shared loadings, from
-    one product for all studies.  The draw is written into `out`, a
-    PosteriorDraw of C-contiguous arrays (a row of a DrawSet, say), or into
-    new arrays when it is None, and returned; its bytes are the same either
-    way.
+    deviations of all S + 1 blocks come from one (S + 1) x p pass.  Every
+    block, shared loadings first, is then mean + sd * z, the means being
+    mu_lambda and each study's mu_gamma_s: a study's specific loadings do
+    not depend on the drawn shared ones, as m_hat_s^T f_hat_s = 0.  The draw
+    is written into `out`, a PosteriorDraw of C-contiguous arrays (a row of
+    a DrawSet, say), or into new arrays when it is None, and returned; its
+    bytes are the same either way.
     """
     p, k0 = spec.mu_lambda.shape
     if out is None:
@@ -472,18 +457,14 @@ def sample_draw(spec: PosteriorSpec, stream: RngStream, out=None) -> PosteriorDr
     sd = np.multiply.outer(spec.sd_rho_sq, sig)
     sd *= spec.sd_k[:, None]
     np.sqrt(sd, out=sd)
-    z = rng.standard_normal(p * (k0 + spec.f_t_m.shape[0]))
-    lam = np.multiply(z[:p * k0].reshape(p, k0), sd[0, :, None], out=out.lambda_tilde)
-    lam += spec.mu_lambda
-    mean = lam @ spec.f_t_m.T  # p x Q, study s in its q_s columns
-    np.subtract(spec.f_t_y.T, mean, out=mean)
-    mean *= spec.k_gamma_cols
-    col = 0
-    for s, gam in enumerate(out.gamma_tilde_s, start=1):
-        q, at = gam.shape[1], p * (k0 + col)
-        np.multiply(z[at:at + p * q].reshape(p, q), sd[s, :, None], out=gam)
-        gam += mean[:, col:col + q]
-        col += q
+    z = rng.standard_normal(p * (k0 + sum(spec.q_s)))
+    at = 0
+    for block, mean, block_sd in zip((out.lambda_tilde, *out.gamma_tilde_s),
+                                     (spec.mu_lambda, *spec.mu_gamma_s), sd):
+        size = block.size
+        np.multiply(z[at:at + size].reshape(block.shape), block_sd[:, None], out=block)
+        block += mean
+        at += size
     return out
 
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DegenerateSignalError, DimensionError, ParameterError
+from .errors import (DataError, DegenerateSignalError, DimensionError, NumericalError,
+                     ParameterError)
 from .numerics import (ProjectedStack, ProjectedStudy, StudyGram, _as_study, _check_matrix,
                        truncated_svd)
 
@@ -130,7 +131,8 @@ class FactorEstimates:
 
     m_hat = sqrt(n) times the leading left singular vectors of y_c, so
     m_hat^T m_hat = n I_k0 exactly; f_hat_s = sqrt(n_s) u_perp_s likewise.
-    m_hat_s^T f_hat_s = 0 by construction.  The n x p y_c itself is never
+    m_hat_s^T f_hat_s = 0 by construction, and is checked here: the
+    posterior relies on it.  The n x p y_c itself is never
     formed, unless its SVD declines the product route (see
     `numerics.truncated_svd`), and is never kept.  w_s holds each study's
     u_perp_s^T Y_s, so f_hat_s^T Y_s = sqrt(n_s) w_s without another pass
@@ -148,6 +150,13 @@ class FactorEstimates:
     p_tilde_spectrum: np.ndarray     # singular values of the averaged projector
     w_s: tuple = field(repr=False)   # per-study q_s x p, u_perp_s^T Y_s
     n_s: tuple = field(default=())
+
+    def __post_init__(self):
+        for s, (m_hat_s, f_hat_s) in enumerate(zip(self.m_hat_s, self.f_hat_s)):
+            cross = np.max(np.abs(m_hat_s.T @ f_hat_s), initial=0.0)
+            if not cross <= 1e-8 * np.sqrt(self.m_hat.shape[0] * f_hat_s.shape[0]):
+                raise NumericalError(f"study {s}: specific factors are not orthogonal to the "
+                                     f"shared ones (max |m_hat_s^T f_hat_s| = {cross:.3g})")
 
     @property
     def n_total(self):

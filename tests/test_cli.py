@@ -116,6 +116,15 @@ class TestSimulate:
             assert all(v is None for v in rep["procrustes_shared"])
             assert float(cells["rel_error_shared"]) == rep["rel_error_shared"]
 
+    def test_submatrix_above_p_is_clamped_to_p(self, tmp_path):
+        # coverage is scored on min(submatrix, p) outcomes
+        out = tmp_path / "wide"
+        assert run_cli("simulate", "--n-studies", 2, "--n-per-study", 60, "--p", 30,
+                       "--k0", 2, "--q-s", 2, "--k-s", "[4, 4]", "--seed", 17,
+                       "--nmc", 60, "--submatrix", 100, "--fit", "--out", out) == 0
+        (replicate,) = io.read_json(out / "metrics.json", schema="metrics")["replicates"]
+        assert 0.0 <= replicate["coverage_shared"] <= 1.0
+
 
 class TestRanks:
     def test_desk_dataset_dims(self, sim_dir, tmp_path):
@@ -273,6 +282,12 @@ class TestPredict:
         assert run_cli("fit", sim_dir, "--nmc", 0, "--seed", 1, "--out", fit_dir) == 0
         assert run_cli("predict", fit_dir, "--test", sim_dir / "study_2.csv",
                        "--study", 2, "--seed", 1, "--out", fit_dir) == 0
+
+    def test_study_zero_is_outside_the_fit(self, sim_dir, point_fit_dir, tmp_path):
+        # 0 is a given --study, not a missing one, so it is not read as study 1
+        assert run_cli("predict", point_fit_dir, "--test", sim_dir / "study_2.csv",
+                       "--study", 0, "--out", tmp_path) == 3
+        assert not (tmp_path / "predict_report.json").exists()
 
     def test_split_file(self, sim_dir, tmp_path):
         fit_dir = tmp_path / "fit2"

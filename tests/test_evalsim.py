@@ -826,6 +826,17 @@ class TestConditioningPlan:
         with pytest.raises(error):
             conditional_predict(model, idx, np.zeros(len(idx)))
 
+    @pytest.mark.parametrize("bad", [60, -1])
+    @pytest.mark.parametrize("score", [
+        prediction_nmse,
+        lambda model, y, observed_idx: predictive_interval_coverage(model, y, 0.9, observed_idx),
+    ], ids=["nmse", "interval_coverage"])
+    def test_scores_check_the_observed_set_before_indexing_rows(self, score, bad):
+        model, obs, rows = self.woodbury_case()
+        y = np.random.default_rng(6).standard_normal((5, 60))
+        with pytest.raises(DimensionError, match=r"outside \[0, 60\)"):
+            score(model, y, observed_idx=[3, 4, bad])
+
     @pytest.mark.parametrize("shape", [(3, 30), (30, 1), (1, 30), ()])
     def test_two_d_values_still_raise_after_a_plan(self, shape):
         model, obs, rows = self.woodbury_case()

@@ -450,8 +450,6 @@ def synthetic_spec(p=3, k0=2, n=50.0, rho_lambda=1.0, delta=1.0, mu_scale=1.0,
         n=int(n),
         n_s=tuple(int(n) for _ in q_s) or (int(n),),
         q_s=tuple(q_s),
-        f_t_y=np.zeros((sum(q_s), p)),
-        f_t_m=np.zeros((sum(q_s), k0)),
     )
 
 
@@ -509,23 +507,12 @@ class TestSampleDraw:
             widths.append(np.quantile(dev, 0.975) - np.quantile(dev, 0.025))
         np.testing.assert_allclose(widths[1], 2.0 * widths[0], rtol=1e-10)
 
-    def test_gamma_mean_uses_drawn_lambda(self, rng):
-        # non-zero factor cross-product: the drawn loading shifts the mean
-        p, k0, q = 2, 1, 1
-        spec = synthetic_spec(p=p, k0=k0, n=1e8, q_s=(q,), rho_gamma=(1.0,), seed=1)
-        spec = replace(spec, f_t_m=np.full((q, k0), 5.0), k_gamma_s=(1.0 / 100.0,),
-                       f_t_y=np.zeros((q, p)),
-                       delta_sq=np.full(p, 1e-12))  # keep the draw noise negligible
-        d = sample_draw(spec, derive_stream(2, ("draw", 0)))
-        expected = -(5.0 * d.lambda_tilde[:, 0]) / 100.0
-        np.testing.assert_allclose(d.gamma_tilde_s[0][:, 0], expected, atol=1e-5)
-
     def test_specific_loading_moments(self):
         p, k0 = 3, 2
         spec = synthetic_spec(p=p, k0=k0, n=50.0, delta=2.0, q_s=(0, 2),
                               rho_gamma=(1.0, 1.7), seed=5)
-        f_t_y = np.random.default_rng(8).standard_normal((2, p))
-        spec = replace(spec, f_t_y=f_t_y)  # study 0 has no rows of it
+        mu_g = np.random.default_rng(8).standard_normal((p, 2))
+        spec = replace(spec, mu_gamma_s=(spec.mu_gamma_s[0], mu_g))
         root = derive_stream(31, ("draw",))
         t_draws = 10_000
         gams = np.empty((t_draws, p, 2))
@@ -536,9 +523,23 @@ class TestSampleDraw:
         k_g = spec.k_gamma_s[1]
         sigma_bar = spec.gamma_n * spec.delta_sq[0] / (spec.gamma_n - 2.0)
         se = gams.std(axis=0) / np.sqrt(t_draws)
-        assert np.all(np.abs(gams.mean(axis=0) - f_t_y.T * k_g) < 4 * se)
+        assert np.all(np.abs(gams.mean(axis=0) - mu_g) < 4 * se)
         target_var = spec.rho_gamma[1] ** 2 * sigma_bar * k_g
         assert np.all(np.abs(gams.var(axis=0) / target_var - 1.0) < 0.10)
+
+    def test_specific_draws_ignore_the_shared_block(self):
+        # a study's specific loadings are drawn around mu_gamma_s, whatever
+        # the shared loadings drawn before them in the same stream
+        ds, dims, fe, hp = small_fit(seed=6)
+        spec = run_blast(ds, BlastConfig(dims=dims, n_mc=0, seed=55)).spec
+        wide = replace(spec, rho_lambda=2 * spec.rho_lambda)
+        root = derive_stream(55, ("draw",))
+        for t in range(5):
+            got, want = (sample_draw(sp, root.child(t)) for sp in (wide, spec))
+            assert not np.array_equal(got.lambda_tilde, want.lambda_tilde)
+            assert got.sigma_tilde_sq.tobytes() == want.sigma_tilde_sq.tobytes()
+            for g, w in zip(got.gamma_tilde_s, want.gamma_tilde_s, strict=True):
+                assert g.size and g.tobytes() == w.tobytes()
 
     def test_draws_are_prefix_stable(self):
         # draw t depends only on (seed, "draw", t), not on n_mc
@@ -617,24 +618,19 @@ class TestSampleDraw:
 
 def reference_draw(spec, stream):
     """The sampler as plain per-draw code: a fresh generator, then sigma^2,
-    the shared loadings and each study in turn, each study's mean from its
-    own rows of the stacked cross-products.  Returns (sigma^2, lambda,
-    [gamma_s])."""
+    the shared loadings and each study in turn, each study's drawn around
+    its mu_gamma_s.  Returns (sigma^2, lambda, [gamma_s])."""
     p, k0 = spec.mu_lambda.shape
     rng = stream.generator()
     sig = spec.gamma_n * spec.delta_sq / 2.0 / rng.standard_gamma(spec.gamma_n / 2.0, size=p)
     lam = rng.standard_normal((p, k0))
     lam *= np.sqrt(sig * spec.rho_lambda**2 * spec.k_scalar)[:, None]
     lam += spec.mu_lambda
-    gams, row = [], 0
+    gams = []
     for s, q in enumerate(spec.q_s):
-        f_t_y, f_t_m = spec.f_t_y[row:row + q], spec.f_t_m[row:row + q]
-        row += q
-        k_g = spec.k_gamma_s[s]
-        mean = (f_t_y.T - lam @ f_t_m.T) * k_g
         gam = rng.standard_normal((p, q))
-        gam *= np.sqrt(spec.rho_for_gamma(s) ** 2 * sig * k_g)[:, None]
-        gams.append(gam + mean)
+        gam *= np.sqrt(spec.rho_for_gamma(s) ** 2 * sig * spec.k_gamma_s[s])[:, None]
+        gams.append(gam + spec.mu_gamma_s[s])
     return sig, lam, gams
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blast.errors import DegenerateSignalError, DimensionError, ParameterError
+from blast.errors import DegenerateSignalError, DimensionError, NumericalError, ParameterError
 from blast.evalsim import SimScenario, generate, procrustes_error
 from blast.numerics import ProjectedStack
 from blast.posterior import BlastConfig, run_blast
@@ -253,6 +253,16 @@ class TestEstimateFactors:
             assert np.max(np.abs(cross)) <= 1e-8 * np.sqrt(n * n_s)
         assert np.all(fe.p_tilde_spectrum <= 1.0 + 1e-10)
         assert np.all(fe.p_tilde_spectrum >= -1e-12)
+
+    def test_non_orthogonal_factors_are_refused(self):
+        # the posterior draws specific loadings around a mean that takes
+        # m_hat_s^T f_hat_s = 0, so factors that break it are not accepted
+        ds, _ = generate(desk_scenario(3))
+        fe = estimate_factors(ds, LatentDims(k0=5, k_s=(9, 9, 9), q_s=(4, 4, 4)))
+        f_hat_s = list(fe.f_hat_s)
+        f_hat_s[1] = f_hat_s[1] + 1e-6 * fe.m_hat_s[1][:, :4]
+        with pytest.raises(NumericalError, match="study 1: specific factors are not orth"):
+            dataclasses.replace(fe, f_hat_s=tuple(f_hat_s))
 
     def test_desk_scale_procrustes_matches_reference(self):
         # reference desk-scale values are ~0.36 for both factor sets
